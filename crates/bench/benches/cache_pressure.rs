@@ -1,6 +1,5 @@
 //! Cache-level host-path pressure: the benches that motivated (and now
-//! guard) the packed `Packet` layout and the pooled per-switch ring
-//! storage.
+//! guard) the packed `Packet` layout and the inline per-port FIFO.
 //!
 //! - `leaf_spine_working_set` is a fig9-shaped 2x2x4 leaf-spine run —
 //!   the smallest workload whose live working set (per-port rings, the
@@ -9,18 +8,15 @@
 //! - `packet_clone_churn` prices raw `Packet` copy/mutate bandwidth: the
 //!   engine clones a packet on every hop (enqueue into a ring slot), so
 //!   bytes-per-packet is a first-order term of forwarding throughput.
-//! - `port_ring_churn/{fifo,pooled}` run the identical enqueue/drain
-//!   schedule through a private-`VecDeque` port and an arena-pooled one.
-//!   Single-port, the pooled ring pays a small indirection tax (~7%
-//!   with one-cache-line slots and the register-screened overflow; it
-//!   was ~15% before those). This pair bounds the tax so it cannot
-//!   silently grow.
+//! - `port_ring_churn_40k_fifo` runs an enqueue/drain schedule through
+//!   one port's inline `VecDeque` FIFO of one-cache-line slots — the
+//!   queue every switch and host port uses.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ecnsharp_aqm::{DctcpRed, DropTail};
 use ecnsharp_experiments::{Scheme, SchemeParams};
 use ecnsharp_net::topology::leaf_spine;
-use ecnsharp_net::{Ecn, FlowId, Network, NodeId, Packet, PortConfig, RingArena};
+use ecnsharp_net::{Ecn, FlowId, Network, NodeId, Packet, PortConfig, SpillMeter};
 use ecnsharp_sim::{Duration, Rate, Rng, SimTime};
 use ecnsharp_transport::{TcpConfig, TcpStack};
 use ecnsharp_workload::{dists, Pattern, RttVariation, TrafficSpec};
@@ -131,7 +127,7 @@ fn bench_packet_clone_churn(c: &mut Criterion) {
 
 /// Drive one egress port through `n` enqueue/drain cycles (the
 /// `telemetry_noop` schedule, minus the subscriber variable).
-fn ring_churn(port: &mut ecnsharp_net::EgressPort, arena: &mut RingArena, n: u64) -> u64 {
+fn ring_churn(port: &mut ecnsharp_net::EgressPort, meter: &mut SpillMeter, n: u64) -> u64 {
     let (src, dst) = (NodeId(0), NodeId(1));
     let mut now = SimTime::ZERO;
     let mut popped = 0u64;
@@ -140,18 +136,18 @@ fn ring_churn(port: &mut ecnsharp_net::EgressPort, arena: &mut RingArena, n: u64
         port.bench_enqueue(
             now,
             Packet::data(FlowId(1), src, dst, i * 1_500, 1_500),
-            arena,
+            meter,
             &mut sub,
         );
         if i % 8 == 7 {
-            while let Some((_, tx)) = port.bench_next_tx(now, || 0.5, arena, &mut sub) {
+            while let Some((_, tx)) = port.bench_next_tx(now, || 0.5, meter, &mut sub) {
                 now += tx;
                 popped += 1;
             }
         }
         now += Duration::from_nanos(100);
     }
-    while let Some((_, tx)) = port.bench_next_tx(now, || 0.5, arena, &mut sub) {
+    while let Some((_, tx)) = port.bench_next_tx(now, || 0.5, meter, &mut sub) {
         now += tx;
         popped += 1;
     }
@@ -168,21 +164,9 @@ fn bench_port_ring_churn(c: &mut Criterion) {
         b.iter_batched(
             || ecnsharp_net::port::bench_port(cfg()),
             |mut port| {
-                let mut arena = RingArena::new();
-                black_box(ring_churn(&mut port, &mut arena, black_box(n)))
+                let mut meter = SpillMeter::new();
+                black_box(ring_churn(&mut port, &mut meter, black_box(n)))
             },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("port_ring_churn_40k_pooled", |b| {
-        b.iter_batched(
-            || {
-                let mut port = ecnsharp_net::port::bench_port(cfg());
-                let mut arena = RingArena::new();
-                port.bench_pool_ring(&mut arena);
-                (port, arena)
-            },
-            |(mut port, mut arena)| black_box(ring_churn(&mut port, &mut arena, black_box(n))),
             BatchSize::SmallInput,
         )
     });

@@ -94,7 +94,7 @@ fn bench_timer_wheel(c: &mut Criterion) {
 /// never lands inside the timed region.
 fn port_churn<S: ecnsharp_net::Subscriber>(
     port: &mut ecnsharp_net::EgressPort,
-    arena: &mut ecnsharp_net::RingArena,
+    meter: &mut ecnsharp_net::SpillMeter,
     sub: &mut S,
     n: u64,
 ) -> u64 {
@@ -106,20 +106,20 @@ fn port_churn<S: ecnsharp_net::Subscriber>(
         port.bench_enqueue(
             now,
             ecnsharp_net::Packet::data(flow, src, dst, i * 1_500, 1_500),
-            arena,
+            meter,
             sub,
         );
         // Drain in small batches so both the enqueue and dequeue emission
         // sites run with a non-trivial standing queue.
         if i % 8 == 7 {
-            while let Some((_, tx)) = port.bench_next_tx(now, || 0.5, arena, sub) {
+            while let Some((_, tx)) = port.bench_next_tx(now, || 0.5, meter, sub) {
                 now += tx;
                 popped += 1;
             }
         }
         now += Duration::from_nanos(100);
     }
-    while let Some((_, tx)) = port.bench_next_tx(now, || 0.5, arena, sub) {
+    while let Some((_, tx)) = port.bench_next_tx(now, || 0.5, meter, sub) {
         now += tx;
         popped += 1;
     }
@@ -150,7 +150,7 @@ fn bench_telemetry_noop(c: &mut Criterion) {
             |mut port| {
                 black_box(port_churn(
                     &mut port,
-                    &mut ecnsharp_net::RingArena::new(),
+                    &mut ecnsharp_net::SpillMeter::new(),
                     &mut ecnsharp_net::NoopSubscriber,
                     black_box(n),
                 ))
@@ -174,8 +174,8 @@ fn bench_telemetry_cost(c: &mut Criterion) {
             churn_port,
             |mut port| {
                 let mut sub = ecnsharp_telemetry::MetricsAggregator::new();
-                let mut arena = ecnsharp_net::RingArena::new();
-                let popped = port_churn(&mut port, &mut arena, &mut sub, black_box(n));
+                let mut meter = ecnsharp_net::SpillMeter::new();
+                let popped = port_churn(&mut port, &mut meter, &mut sub, black_box(n));
                 black_box((popped, sub))
             },
             BatchSize::SmallInput,

@@ -69,8 +69,8 @@ fn engine_output_matches_prepass_golden() {
     std::env::remove_var("ECNSHARP_SHARDS");
 
     // The four pinned outputs: fig2 (testbed star threshold sweep), fig9
-    // serial and under the sharded engine (leaf-spine grid — the pooled
-    // rings' main consumer), and one adversarial chaos point (flapping
+    // serial and under the sharded engine (leaf-spine grid — the switch
+    // queues' main consumer), and one adversarial chaos point (flapping
     // link + 1% GE burst loss crossing shard cuts).
     let mut outputs: Vec<(&str, String)> = Vec::new();
     outputs.push(("fig2_quick.csv", figures::fig2(Scale::Quick).to_csv()));

@@ -9,10 +9,15 @@
 //! admission guard. DESIGN.md "Run supervision" carries the contract;
 //! these tests pin it.
 
+use ecnsharp_aqm::DropTail;
 use ecnsharp_experiments::runner::{supervised_map, PointStatus, SweepConfig};
 use ecnsharp_experiments::{try_run_chaos_leaf_spine_sharded, Scheme};
-use ecnsharp_net::{MemComponent, SimError, Supervision};
-use ecnsharp_sim::Duration;
+use ecnsharp_net::topology::star;
+use ecnsharp_net::{
+    FlowCmd, FlowId, MemBreach, MemComponent, Network, NodeId, PortConfig, SimError, Supervision,
+};
+use ecnsharp_sim::{Duration, Rate, SimTime};
+use ecnsharp_transport::{TcpConfig, TcpStack};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// One chaos point under supervision `sup`, rendered to its bit-exact
@@ -146,6 +151,81 @@ fn mem_budget_trips_sharded_too() {
     assert!(
         matches!(err, SimError::MemBudgetExceeded { .. }),
         "got {err:?}"
+    );
+}
+
+/// A tiny-packet incast at one switch port: 8 DCTCP senders each open 25
+/// one-byte flows to host 8 at t = 0. The switch ports are pre-sized for
+/// 16 packets (a 20 kB buffer) yet admit 238 minimum-size (84 B) ones, so
+/// the port towards host 8 holds far more packets than its slots without
+/// a single tail drop. Returns the fallible run's outcome, the network
+/// after it and the switch id.
+fn tiny_packet_incast(sup: Option<Supervision>) -> (Result<SimTime, SimError>, Network, NodeId) {
+    let topo = star(
+        3,
+        9,
+        Rate::from_gbps(10),
+        Duration::from_micros(1),
+        |_| TcpStack::boxed(TcpConfig::dctcp()),
+        || PortConfig::fifo(1_000_000, Box::new(DropTail::new())),
+        || PortConfig::fifo(20_000, Box::new(DropTail::new())),
+    );
+    let mut net = topo.net;
+    for f in 0..200u64 {
+        net.schedule_flow(
+            SimTime::ZERO,
+            FlowCmd {
+                flow: FlowId(f),
+                src: topo.hosts[(f % 8) as usize],
+                dst: topo.hosts[8],
+                size: 1,
+                class: 0,
+                extra_delay: Duration::ZERO,
+            },
+        );
+    }
+    if let Some(sup) = sup {
+        net.set_supervision(sup);
+    }
+    (net.try_run_until_idle(), net, topo.switch)
+}
+
+#[test]
+fn ring_overflow_guard_trips_on_tiny_packet_incast() {
+    let sup = Supervision {
+        ring_overflow_ceiling: Some(8),
+        ..Supervision::armed()
+    };
+    let (end, _, switch) = tiny_packet_incast(Some(sup));
+    match end.expect_err("the incast spills far more than 8 packets") {
+        SimError::MemBudgetExceeded { breach, .. } => assert_eq!(
+            breach,
+            MemBreach {
+                component: MemComponent::RingOverflow,
+                live: 9,
+                ceiling: 8,
+                node: Some(switch.0 as u32),
+            }
+        ),
+        other => panic!("expected MemBudgetExceeded, got {other:?}"),
+    }
+}
+
+#[test]
+fn disarmed_ring_overflow_guard_leaves_flow_records_unchanged() {
+    let (bare_end, bare, _) = tiny_packet_incast(None);
+    bare_end.expect("unsupervised run");
+    assert_eq!(bare.records().len(), 200);
+    assert_eq!(bare.perf().drops, 0);
+    let sup = Supervision {
+        ring_overflow_ceiling: None,
+        ..Supervision::armed()
+    };
+    let (end, net, _) = tiny_packet_incast(Some(sup));
+    end.expect("nothing but the disarmed guard could trip");
+    assert_eq!(
+        format!("{:?}", net.records()),
+        format!("{:?}", bare.records())
     );
 }
 

@@ -54,7 +54,6 @@ macro_rules! emit {
 }
 
 pub mod agent;
-pub mod arena;
 pub mod fault;
 pub mod ids;
 pub mod network;
@@ -63,17 +62,14 @@ pub mod packet;
 pub mod port;
 pub mod shard;
 pub mod topology;
-pub mod trace;
 
 pub use agent::{Action, Agent, Ctx, EchoAgent, FlowCmd, FlowOutcome, FlowRecord, NullAgent};
-pub use arena::RingArena;
 pub use fault::{FaultAction, FaultEvent, FaultPlan, GilbertElliott};
 pub use ids::{FlowId, NodeId, PortId};
 pub use network::{Network, PerfCounters, QueueMonitor};
 pub use packet::{Ecn, Flags, Packet};
-pub use port::{EgressPort, PortConfig, PortSched, PortStats};
+pub use port::{EgressPort, PortConfig, PortSched, PortStats, SpillMeter};
 pub use shard::ShardPlan;
-pub use trace::{TraceEvent, TraceKind, Tracer, MAX_TRACE_CAPACITY};
 
 // Re-export the subscriber vocabulary so downstream crates can attach
 // telemetry without depending on `ecnsharp-telemetry` directly.
@@ -98,21 +94,20 @@ const _: () = {
     assert_send::<FaultPlan>();
     assert_send_sync::<Packet>();
     assert_send_sync::<GilbertElliott>();
-    assert_send_sync::<Tracer>();
     // The sharded runner moves these between threads: whole engines into
     // the worker scope, cross-shard packets through the mailboxes, and
     // the plan's owner map behind an Arc.
     assert_send::<network::OutMsg>();
     assert_send_sync::<ShardPlan>();
-    // Pooled ring storage moves with its node across shard threads.
-    assert_send::<RingArena>();
+    // The spill meter moves with its node across shard threads.
+    assert_send::<SpillMeter>();
     // Supervision config is copied into every shard engine; guard trips
     // cross the worker scope back to the caller.
     assert_send_sync::<Supervision>();
     assert_send_sync::<SimError>();
     // Cache-layout pin alongside the shard-safety proofs: the packed
-    // Packet (and therefore every pooled arena slot) must stay within one
-    // 64-byte cache line, or the host-path working set regresses.
+    // Packet (and therefore every FIFO slot) must stay within one 64-byte
+    // cache line, or the host-path working set regresses.
     assert!(std::mem::size_of::<Packet>() <= 64);
     assert!(std::mem::size_of::<Option<(u64, Packet)>>() <= 72);
 };

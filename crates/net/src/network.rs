@@ -24,17 +24,14 @@ use crate::fault::{FaultAction, FaultPlan};
 use crate::ids::{FlowId, NodeId};
 use crate::node::{Node, NodeKind};
 use crate::port::{EgressPort, PortConfig, PortStats};
-use crate::trace::TraceKind;
-#[cfg(feature = "packet-trace")]
-use crate::trace::Tracer;
 use ecnsharp_sim::supervise::{MemBreach, MemComponent, ProgressGuard, SimError, Supervision};
 use ecnsharp_sim::{hash_mix, DetMap, Duration, EventQueue, Rate, Rng, SimTime, TimerToken};
 #[cfg(feature = "telemetry")]
 use ecnsharp_telemetry::{
-    AlphaUpdated, CwndUpdated, FlowCompleted, LinkStateChanged, Meta, PacketDropped, RtoFired,
-    TransportEvent,
+    AlphaUpdated, CwndUpdated, DropReason, FlowCompleted, LinkStateChanged, Meta, PacketDropped,
+    RtoFired, TransportEvent,
 };
-use ecnsharp_telemetry::{DropReason, NoopSubscriber, Subscriber};
+use ecnsharp_telemetry::{NoopSubscriber, Subscriber};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -224,7 +221,7 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     pub(crate) carry: ecnsharp_sim::queue::QueuePerf,
     // ── run supervision (disarmed by default: zero cost) ──────────────
     /// Watchdog/budget configuration (see [`Supervision`]). Applied to
-    /// the queue and node arenas by [`Network::set_supervision`].
+    /// the queue and switch spill meters by [`Network::set_supervision`].
     pub(crate) supervision: Supervision,
     /// `supervision` has at least one memory ceiling armed — gates the
     /// per-event breach poll so disarmed runs skip it entirely.
@@ -233,8 +230,6 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     /// entry points. Agent callbacks ([`Ctx::report_mem_breach`]) and the
     /// per-event breach poll both land here.
     pub(crate) tripped: Option<SimError>,
-    #[cfg(feature = "packet-trace")]
-    pub(crate) tracer: Option<Tracer>,
 }
 
 impl Network {
@@ -286,8 +281,6 @@ impl<S: Subscriber> Network<S> {
             supervision: Supervision::default(),
             mem_armed: false,
             tripped: None,
-            #[cfg(feature = "packet-trace")]
-            tracer: None,
         }
     }
 
@@ -359,8 +352,6 @@ impl<S: Subscriber> Network<S> {
             supervision: self.supervision,
             mem_armed: false,
             tripped: None,
-            #[cfg(feature = "packet-trace")]
-            tracer: None,
         }
     }
 
@@ -381,16 +372,17 @@ impl<S: Subscriber> Network<S> {
     }
 
     /// Install a [`Supervision`] configuration: arms the livelock guard
-    /// for the `try_run_*` entry points and applies the memory ceilings
-    /// to the event queue and every node's ring arena.
+    /// for the `try_run_*` entry points, applies the event ceiling to the
+    /// event queue and the ring-overflow ceiling to every switch's spill
+    /// meter (packets its FIFO ports hold beyond their pre-sized slots).
     ///
-    /// Call **after** topology construction — nodes added later start
-    /// with an unbounded arena. Re-installing clears any latched trip.
+    /// Call **after** topology construction — switches added later start
+    /// with a disarmed meter. Re-installing clears any latched trip.
     pub fn set_supervision(&mut self, sup: Supervision) {
         self.supervision = sup;
         self.events.set_mem_ceiling(sup.event_ceiling);
-        for n in &mut self.nodes {
-            n.arena.set_overflow_ceiling(sup.ring_overflow_ceiling);
+        for n in self.nodes.iter_mut().filter(|n| !n.is_host()) {
+            n.spill.set_overflow_ceiling(sup.ring_overflow_ceiling);
         }
         self.mem_armed = sup.event_ceiling.is_some() || sup.ring_overflow_ceiling.is_some();
         self.tripped = None;
@@ -407,31 +399,6 @@ impl<S: Subscriber> Network<S> {
     /// trips ([`SimError::Livelock`]) and for the CI livelock drill.
     pub fn inject_livelock_at(&mut self, at: SimTime) {
         self.push_event(at, Event::LivelockDrill { node: NodeId(0) });
-    }
-
-    /// Enable packet tracing with a bounded ring of `capacity` events
-    /// (optionally restricted to `flow`). Disabled by default.
-    #[cfg(feature = "packet-trace")]
-    pub fn enable_trace(&mut self, capacity: usize, flow: Option<FlowId>) {
-        let mut t = Tracer::new(capacity);
-        t.flow_filter = flow;
-        self.tracer = Some(t);
-    }
-
-    /// The tracer, if enabled.
-    #[cfg(feature = "packet-trace")]
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
-    #[inline]
-    fn trace(&mut self, at: SimTime, node: NodeId, kind: TraceKind, pkt: &crate::packet::Packet) {
-        #[cfg(feature = "packet-trace")]
-        if let Some(t) = self.tracer.as_mut() {
-            t.record(at, node, kind, pkt);
-        }
-        #[cfg(not(feature = "packet-trace"))]
-        let _ = (at, node, kind, pkt);
     }
 
     // ── topology construction ──────────────────────────────────────────
@@ -469,23 +436,12 @@ impl<S: Subscriber> Network<S> {
         port_a.owner = a;
         port_a.owner_port = pa as u64;
         port_a.seed_dice(hash_mix(self.seed ^ ((a.0 as u64 + 1) << 24) ^ pa as u64));
-        // Switch FIFOs migrate onto the node's shared ring arena so all
-        // of a switch's queues live in one contiguous block; hosts keep
-        // their inline NIC FIFO (one port, nothing to pool).
-        let na = &mut self.nodes[a.0];
-        if !na.is_host() {
-            port_a.pool_ring(&mut na.arena);
-        }
-        na.ports.push(port_a);
+        self.nodes[a.0].ports.push(port_a);
         let mut port_b = EgressPort::new(a, pa, rate, delay, cfg_b);
         port_b.owner = b;
         port_b.owner_port = pb as u64;
         port_b.seed_dice(hash_mix(self.seed ^ ((b.0 as u64 + 1) << 24) ^ pb as u64));
-        let nb = &mut self.nodes[b.0];
-        if !nb.is_host() {
-            port_b.pool_ring(&mut nb.arena);
-        }
-        nb.ports.push(port_b);
+        self.nodes[b.0].ports.push(port_b);
         (pa, pb)
     }
 
@@ -939,7 +895,6 @@ impl<S: Subscriber> Network<S> {
         match ev {
             Event::Arrive { node, pkt } => {
                 self.cur_node = node.0;
-                self.trace(now, node, TraceKind::Arrive, &pkt);
                 self.on_arrive(now, node, pkt);
             }
             Event::TxDone { node, port } => {
@@ -971,9 +926,8 @@ impl<S: Subscriber> Network<S> {
             }
             Event::NicSend { node, pkt } => {
                 self.cur_node = node.0;
-                self.trace(now, node, TraceKind::Enqueue, &pkt);
                 let n = &mut self.nodes[node.0];
-                n.ports[0].enqueue(now, pkt, &mut n.arena, &mut self.sub);
+                n.ports[0].enqueue(now, pkt, &mut n.spill, &mut self.sub);
                 self.kick(now, node, 0);
             }
             Event::Sample { id } => {
@@ -1000,7 +954,7 @@ impl<S: Subscriber> Network<S> {
     }
 
     /// Poll the latched memory-breach flags after one event (only when a
-    /// ceiling is armed). All arena mutations of an event belong to its
+    /// ceiling is armed). All spill-meter updates of an event belong to its
     /// `cur_node`, so attribution is exact; the breach converts into the
     /// run's first [`SimError::MemBudgetExceeded`].
     #[inline]
@@ -1022,7 +976,7 @@ impl<S: Subscriber> Network<S> {
             return;
         }
         if self.cur_node != SETUP_CTX {
-            if let Some((live, ceiling)) = self.nodes[self.cur_node].arena.overflow_breach() {
+            if let Some((live, ceiling)) = self.nodes[self.cur_node].spill.overflow_breach() {
                 self.tripped = Some(SimError::MemBudgetExceeded {
                     breach: MemBreach {
                         component: MemComponent::RingOverflow,
@@ -1078,7 +1032,6 @@ impl<S: Subscriber> Network<S> {
                             reason: DropReason::NoRoute,
                         }
                     );
-                    self.trace(now, node, TraceKind::Drop(DropReason::NoRoute), &pkt);
                     return;
                 }
                 let port = if hops.len() == 1 {
@@ -1098,9 +1051,8 @@ impl<S: Subscriber> Network<S> {
                     };
                     hops[idx as usize] as usize
                 };
-                self.trace(now, node, TraceKind::Enqueue, &pkt);
                 let n = &mut self.nodes[node.0];
-                n.ports[port].enqueue(now, pkt, &mut n.arena, &mut self.sub);
+                n.ports[port].enqueue(now, pkt, &mut n.spill, &mut self.sub);
                 self.kick(now, node, port);
             }
         }
@@ -1114,15 +1066,10 @@ impl<S: Subscriber> Network<S> {
         if p.busy || !p.link_up {
             return;
         }
-        if let Some(tx) = p.next_tx_dice(now, &mut n.arena, sub) {
+        if let Some(tx) = p.next_tx_dice(now, &mut n.spill, sub) {
             p.busy = true;
             let peer = p.peer;
             let delay = p.delay;
-            // Clone only if this packet will actually be recorded — the
-            // common (untraced) path moves the packet straight into the
-            // Arrive event without copying.
-            #[cfg(feature = "packet-trace")]
-            let traced_pkt = self.tracer.is_some().then(|| tx.pkt.clone());
             // Draw both tags before routing: TxDone then Arrive, always in
             // that order, so the pusher's counter advances identically
             // whether the arrival stays local or crosses a shard boundary.
@@ -1147,10 +1094,6 @@ impl<S: Subscriber> Network<S> {
                         pkt: tx.pkt,
                     },
                 ),
-            }
-            #[cfg(feature = "packet-trace")]
-            if let Some(pkt) = traced_pkt {
-                self.trace(now, node, TraceKind::TxStart, &pkt);
             }
         }
     }
@@ -1218,7 +1161,7 @@ impl<S: Subscriber> Network<S> {
                 Action::Send(pkt, delay) => {
                     if delay.is_zero() {
                         let n = &mut self.nodes[node.0];
-                        n.ports[0].enqueue(now, pkt, &mut n.arena, &mut self.sub);
+                        n.ports[0].enqueue(now, pkt, &mut n.spill, &mut self.sub);
                         self.kick(now, node, 0);
                     } else {
                         self.push_event(now + delay, Event::NicSend { node, pkt });
@@ -1652,20 +1595,41 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "packet-trace")]
-    fn tracing_records_packet_lifecycle() {
-        let (mut net, a, b, _s) = two_hosts();
-        net.enable_trace(1000, Some(FlowId(3)));
-        inject(&mut net, a, Packet::data(FlowId(2), a, b, 0, 1460)); // filtered out
-        inject(&mut net, a, Packet::data(FlowId(3), a, b, 0, 1460));
+    #[cfg(feature = "telemetry")]
+    fn jsonl_writer_traces_packet_lifecycle() {
+        // `JsonlWriter` is the one trace path: attached to the network, it
+        // records a packet's enqueue and dequeue at every hop, in order.
+        let mut net = Network::with_subscriber(1, ecnsharp_telemetry::JsonlWriter::new(Vec::new()));
+        let a = net.add_host(Box::new(NullAgent));
+        let b = net.add_host(Box::new(EchoAgent));
+        let s = net.add_switch();
+        for h in [a, b] {
+            let cfg = || PortConfig::fifo(1_000_000, Box::new(DropTail::new()));
+            net.connect(h, cfg(), s, cfg(), Rate::from_gbps(10), Duration::ZERO);
+        }
+        net.compute_routes();
+        let pkt = Packet::data(FlowId(3), a, b, 0, 1460);
+        net.push_event(SimTime::ZERO, Event::NicSend { node: a, pkt });
         net.run_until_idle();
-        let t = net.tracer().unwrap();
-        assert!(t.observed >= 3, "observed {}", t.observed);
-        let kinds: Vec<crate::trace::TraceKind> = t.events().map(|e| e.kind).collect();
-        assert!(kinds.contains(&crate::trace::TraceKind::Enqueue));
-        assert!(kinds.contains(&crate::trace::TraceKind::TxStart));
-        assert!(kinds.contains(&crate::trace::TraceKind::Arrive));
-        assert!(t.events().all(|e| e.flow == FlowId(3)), "filter leaked");
+        let json = String::from_utf8(net.into_subscriber().into_inner()).unwrap();
+        let trace: Vec<String> = json
+            .lines()
+            .map(|l| {
+                let field = |k: &str| l.split(&format!(r#""{k}":"#)).nth(1).unwrap();
+                let node = field("node").split(',').next().unwrap();
+                let event = field("event").split('"').nth(1).unwrap();
+                format!("{event}@{node}")
+            })
+            .collect();
+        // Data a -> s -> b, then the echo ACK b -> s -> a.
+        let hop = |n: NodeId| {
+            [
+                format!("packet_enqueued@{}", n.0),
+                format!("sojourn_sampled@{}", n.0),
+            ]
+        };
+        let want: Vec<String> = [a, s, b, s].into_iter().flat_map(hop).collect();
+        assert_eq!(trace, want);
     }
 
     /// a -- s1 -- {s2,s3} -- s4 -- b : two equal-cost paths (failover rig).

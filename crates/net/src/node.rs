@@ -1,8 +1,7 @@
 //! Nodes: hosts (with agents) and switches (with routing tables).
 
 use crate::agent::Agent;
-use crate::arena::RingArena;
-use crate::port::EgressPort;
+use crate::port::{EgressPort, SpillMeter};
 
 /// What kind of node this is.
 pub enum NodeKind {
@@ -32,10 +31,9 @@ pub struct Node {
     /// the hottest switch path; rebuilt alongside `routes`.
     pub(crate) route_off: Vec<u32>,
     pub(crate) route_hops: Vec<u16>,
-    /// Pooled ring storage shared by this node's switch-port FIFOs: one
-    /// contiguous slot block instead of a heap `VecDeque` per port (see
-    /// [`crate::arena`]). Empty for hosts and `Dyn`-scheduled ports.
-    pub(crate) arena: RingArena,
+    /// Spill meter over this node's FIFO ports: packets held beyond their
+    /// pre-sized slots (see [`SpillMeter`]). Armed only on switches.
+    pub(crate) spill: SpillMeter,
 }
 
 impl Node {
@@ -46,7 +44,7 @@ impl Node {
             routes: Vec::new(),
             route_off: Vec::new(),
             route_hops: Vec::new(),
-            arena: RingArena::new(),
+            spill: SpillMeter::new(),
         }
     }
 
@@ -57,7 +55,7 @@ impl Node {
             routes: Vec::new(),
             route_off: Vec::new(),
             route_hops: Vec::new(),
-            arena: RingArena::new(),
+            spill: SpillMeter::new(),
         }
     }
 

@@ -2,7 +2,6 @@
 //! of every link attachment. The queueing behaviour the whole paper is
 //! about lives here.
 
-use crate::arena::{PooledRing, RingArena};
 use crate::fault::{validate_p, GilbertElliott};
 use crate::ids::NodeId;
 use crate::packet::{Ecn, Packet};
@@ -24,43 +23,55 @@ use ecnsharp_telemetry::{
 pub enum PortSched {
     /// Inline single-queue FIFO (static dispatch, private ring).
     Fifo(Fifo<Packet>),
-    /// Single-queue FIFO whose slots live in the owning node's shared
-    /// [`RingArena`] (switch ports; see [`crate::arena`]).
-    Pooled(PooledRing),
     /// Any other scheduler, behind the [`Scheduler`] trait.
     Dyn(Box<dyn Scheduler<Packet>>),
 }
+
+const _: () = assert!(
+    std::mem::size_of::<(u64, Packet)>() == 64,
+    "a FIFO slot (wire bytes, packet) must be exactly one cache line"
+);
 
 impl PortSched {
     #[inline]
     fn classes(&self) -> usize {
         match self {
-            PortSched::Fifo(_) | PortSched::Pooled(_) => 1,
+            PortSched::Fifo(_) => 1,
             PortSched::Dyn(s) => s.classes(),
         }
     }
 
+    /// Queue `item`. A FIFO holding more than its pre-sized `slots`
+    /// reports the extra packet to the node's spill `meter`.
     #[inline]
-    fn enqueue(&mut self, arena: &mut RingArena, class: usize, bytes: u64, item: Packet) {
+    fn enqueue(
+        &mut self,
+        meter: &mut SpillMeter,
+        slots: u64,
+        class: usize,
+        bytes: u64,
+        item: Packet,
+    ) {
         match self {
-            PortSched::Fifo(f) => f.enqueue(class, bytes, item),
-            PortSched::Pooled(r) => {
-                debug_assert_eq!(class, 0, "pooled FIFO has a single class");
-                r.enqueue(arena, bytes, item);
+            PortSched::Fifo(f) => {
+                f.enqueue(class, bytes, item);
+                if Scheduler::backlog_pkts(f) > slots {
+                    meter.spill();
+                }
             }
             PortSched::Dyn(s) => s.enqueue(class, bytes, item),
         }
     }
 
     #[inline]
-    fn dequeue(&mut self, arena: &mut RingArena) -> Option<Dequeued<Packet>> {
+    fn dequeue(&mut self, meter: &mut SpillMeter, slots: u64) -> Option<Dequeued<Packet>> {
         match self {
-            PortSched::Fifo(f) => f.dequeue(),
-            PortSched::Pooled(r) => r.dequeue(arena).map(|(bytes, item)| Dequeued {
-                class: 0,
-                bytes,
-                item,
-            }),
+            PortSched::Fifo(f) => {
+                if Scheduler::backlog_pkts(f) > slots {
+                    meter.spilled -= 1;
+                }
+                f.dequeue()
+            }
             PortSched::Dyn(s) => s.dequeue(),
         }
     }
@@ -69,7 +80,6 @@ impl PortSched {
     fn backlog_bytes(&self) -> u64 {
         match self {
             PortSched::Fifo(f) => Scheduler::backlog_bytes(f),
-            PortSched::Pooled(r) => r.backlog_bytes(),
             PortSched::Dyn(s) => s.backlog_bytes(),
         }
     }
@@ -78,29 +88,72 @@ impl PortSched {
     fn backlog_pkts(&self) -> u64 {
         match self {
             PortSched::Fifo(f) => Scheduler::backlog_pkts(f),
-            PortSched::Pooled(r) => r.backlog_pkts(),
             PortSched::Dyn(s) => s.backlog_pkts(),
         }
     }
 }
 
-/// Slots a port's ring window gets in its node's arena: one buffer's
-/// worth of MTU packets, the same pre-sizing the inline FIFO uses.
+/// Packets a FIFO port is pre-sized for: one buffer's worth of MTU
+/// packets. Packets held beyond it count as spill in the node's
+/// [`SpillMeter`].
 pub(crate) fn ring_slots(capacity_bytes: u64) -> usize {
     (capacity_bytes / 1538).clamp(16, 4096) as usize
 }
 
-/// Window size for a *pooled* ring: the MTU-packet estimate plus a thin
-/// slack margin. The slack matters — a queue held at byte capacity by tail
-/// drop packs slightly more sub-MTU packets than `ring_slots` predicts,
-/// and a window that is even one slot too small routes every enqueue
-/// through the overflow deque exactly when the port is hottest (each
-/// packet then gets copied twice). The margin stays thin on purpose:
-/// window footprint is the whole point of pooling, and a saturated ring
-/// walks its entire window cyclically.
-pub(crate) fn pooled_ring_slots(capacity_bytes: u64) -> usize {
-    let est = ring_slots(capacity_bytes);
-    est + est / 8 + 8
+/// One node's spill meter for the ring-overflow memory guard: packets its
+/// FIFO ports hold beyond their pre-sized `ring_slots`, summed over the
+/// ports. Byte capacity bounds a queue, but tiny packets can outnumber
+/// the slots while staying under it, and that growth is the only
+/// unbounded memory on the switch data path. Crossing the
+/// `Supervision::ring_overflow_ceiling` latches a breach without
+/// perturbing queueing, so an armed-but-untriggered ceiling is
+/// observation-only.
+pub struct SpillMeter {
+    /// Packets currently queued beyond their port's pre-sized slots.
+    pub(crate) spilled: u64,
+    /// Admission ceiling on `spilled`; `u64::MAX` disarms the guard.
+    ceiling: u64,
+    /// Sticky flag: `spilled` crossed `ceiling` at some enqueue.
+    breached: bool,
+}
+
+impl Default for SpillMeter {
+    fn default() -> Self {
+        SpillMeter {
+            spilled: 0,
+            ceiling: u64::MAX,
+            breached: false,
+        }
+    }
+}
+
+impl SpillMeter {
+    /// A disarmed meter with nothing spilled.
+    pub fn new() -> Self {
+        SpillMeter::default()
+    }
+
+    #[inline]
+    fn spill(&mut self) {
+        self.spilled += 1;
+        if self.spilled > self.ceiling {
+            self.breached = true;
+        }
+    }
+
+    /// Arm (or, with `None`, disarm) the ceiling on spilled packets across
+    /// this node's ports. Clears any latched breach.
+    pub fn set_overflow_ceiling(&mut self, ceiling: Option<u64>) {
+        self.ceiling = ceiling.unwrap_or(u64::MAX);
+        self.breached = false;
+    }
+
+    /// The latched `(live, ceiling)` pair once a spill has crossed the
+    /// ceiling, if any. `live` reports the current count — the fail-fast
+    /// contract stops the run within a few events of the breach.
+    pub fn overflow_breach(&self) -> Option<(u64, u64)> {
+        self.breached.then_some((self.spilled, self.ceiling))
+    }
 }
 
 /// Static configuration of an egress port.
@@ -221,6 +274,9 @@ pub struct EgressPort {
     pub(crate) capacity_bytes: u64,
     pub(crate) aqm: Box<dyn Aqm>,
     pub(crate) sched: PortSched,
+    /// Packets a FIFO `sched` is pre-sized for ([`ring_slots`]); the
+    /// excess is metered as spill.
+    pub(crate) fifo_slots: u64,
     pub(crate) fault_drop_p: f64,
     pub(crate) corrupt_p: f64,
     pub(crate) ge: Option<GilbertElliott>,
@@ -279,6 +335,7 @@ impl EgressPort {
             capacity_bytes: cfg.capacity_bytes,
             aqm: cfg.aqm,
             sched: cfg.sched,
+            fifo_slots: ring_slots(cfg.capacity_bytes) as u64,
             fault_drop_p: cfg.fault_drop_p,
             corrupt_p: cfg.corrupt_p,
             ge: cfg.ge,
@@ -299,23 +356,6 @@ impl EgressPort {
         self.dice = Rng::seed_from_u64(seed);
     }
 
-    /// Migrate an inline-FIFO port onto the owning node's shared
-    /// [`RingArena`]. Called at [`crate::Network::connect`] time (the
-    /// queue is necessarily empty); ports with a [`PortSched::Dyn`]
-    /// scheduler keep their own storage.
-    pub(crate) fn pool_ring(&mut self, arena: &mut RingArena) {
-        if let PortSched::Fifo(f) = &self.sched {
-            debug_assert_eq!(
-                Scheduler::backlog_pkts(f),
-                0,
-                "ring pooling requires an empty queue"
-            );
-            let cap = pooled_ring_slots(self.capacity_bytes);
-            let off = arena.alloc(cap);
-            self.sched = PortSched::Pooled(PooledRing::new(off, cap));
-        }
-    }
-
     /// [`Self::next_tx`] drawing dice from the port's own seeded stream.
     ///
     /// Ports without any fault knob never consume dice (the injector
@@ -324,17 +364,17 @@ impl EgressPort {
     pub(crate) fn next_tx_dice<S: Subscriber>(
         &mut self,
         now: SimTime,
-        arena: &mut RingArena,
+        meter: &mut SpillMeter,
         sub: &mut S,
     ) -> Option<TxStart> {
         if self.fault_drop_p > 0.0 || self.corrupt_p > 0.0 || self.ge.is_some() {
             let mut rng = std::mem::replace(&mut self.dice, Rng::seed_from_u64(0));
-            let tx = self.next_tx(now, || rng.f64(), arena, sub);
+            let tx = self.next_tx(now, || rng.f64(), meter, sub);
             self.dice = rng;
             tx
         } else {
             // Never called: every dice site is behind a knob checked above.
-            self.next_tx(now, || 0.0, arena, sub)
+            self.next_tx(now, || 0.0, meter, sub)
         }
     }
 
@@ -446,12 +486,13 @@ impl EgressPort {
 
     /// Admit `pkt` to the queue (tail-drop capacity check, then AQM).
     /// Returns `true` when the packet was queued. Telemetry events
-    /// (enqueue, drops, marks) are delivered to `sub`.
+    /// (enqueue, drops, marks) are delivered to `sub`; a FIFO packet held
+    /// beyond the pre-sized slots is counted in the node's spill `meter`.
     pub(crate) fn enqueue<S: Subscriber>(
         &mut self,
         now: SimTime,
         mut pkt: Packet,
-        arena: &mut RingArena,
+        meter: &mut SpillMeter,
         sub: &mut S,
     ) -> bool {
         let wire = pkt.wire_bytes();
@@ -515,7 +556,7 @@ impl EgressPort {
             }
         );
         let class = (pkt.class() as usize).min(self.sched.classes() - 1);
-        self.sched.enqueue(arena, class, wire, pkt);
+        self.sched.enqueue(meter, self.fifo_slots, class, wire, pkt);
         self.stats.enqueued += 1;
         if cfg!(feature = "strict-invariants") {
             self.accounted_in_bytes += wire;
@@ -539,11 +580,11 @@ impl EgressPort {
         &mut self,
         now: SimTime,
         mut dice: impl FnMut() -> f64,
-        arena: &mut RingArena,
+        meter: &mut SpillMeter,
         sub: &mut S,
     ) -> Option<TxStart> {
         loop {
-            let d = self.sched.dequeue(arena)?;
+            let d = self.sched.dequeue(meter, self.fifo_slots)?;
             let mut pkt = d.item;
             if cfg!(feature = "strict-invariants") {
                 self.accounted_out_bytes += d.bytes;
@@ -659,10 +700,10 @@ impl EgressPort {
         &mut self,
         now: SimTime,
         pkt: Packet,
-        arena: &mut RingArena,
+        meter: &mut SpillMeter,
         sub: &mut S,
     ) -> bool {
-        self.enqueue(now, pkt, arena, sub)
+        self.enqueue(now, pkt, meter, sub)
     }
 
     /// Bench-support wrapper around the crate-private [`Self::next_tx`]:
@@ -672,19 +713,11 @@ impl EgressPort {
         &mut self,
         now: SimTime,
         dice: impl FnMut() -> f64,
-        arena: &mut RingArena,
+        meter: &mut SpillMeter,
         sub: &mut S,
     ) -> Option<(Packet, Duration)> {
-        self.next_tx(now, dice, arena, sub)
+        self.next_tx(now, dice, meter, sub)
             .map(|t| (t.pkt, t.tx_time))
-    }
-
-    /// Bench-support wrapper around the crate-private [`Self::pool_ring`]:
-    /// migrates this port's FIFO onto `arena`. Not part of the public API
-    /// surface.
-    #[doc(hidden)]
-    pub fn bench_pool_ring(&mut self, arena: &mut RingArena) {
-        self.pool_ring(arena);
     }
 }
 
@@ -708,13 +741,6 @@ mod tests {
     use ecnsharp_aqm::{DctcpRed, DropTail, Tcn};
     use ecnsharp_telemetry::NoopSubscriber;
 
-    fn pooled(cfg: PortConfig) -> (EgressPort, RingArena) {
-        let mut p = port(cfg);
-        let mut arena = RingArena::new();
-        p.pool_ring(&mut arena);
-        (p, arena)
-    }
-
     fn port(cfg: PortConfig) -> EgressPort {
         EgressPort::new(
             NodeId(1),
@@ -729,47 +755,74 @@ mod tests {
         Packet::data(FlowId(1), NodeId(0), NodeId(2), 0, payload)
     }
 
-    #[test]
-    fn pooled_port_matches_fifo_behaviour() {
-        // The pooled ring must be observationally identical to the inline
-        // FIFO: same admissions, same tail drops, same dequeue order.
-        let (mut p, mut arena) = pooled(PortConfig::fifo(4_000, Box::new(DropTail::new())));
-        assert!(matches!(p.sched, PortSched::Pooled(_)));
-        assert!(p.enqueue(SimTime::ZERO, pkt(1460), &mut arena, &mut NoopSubscriber));
-        assert!(p.enqueue(SimTime::ZERO, pkt(1460), &mut arena, &mut NoopSubscriber));
-        assert!(!p.enqueue(SimTime::ZERO, pkt(1460), &mut arena, &mut NoopSubscriber));
-        assert_eq!(p.stats().tail_drops, 1);
-        assert_eq!(p.backlog_pkts(), 2);
-        assert_eq!(p.backlog_bytes(), 3076);
-        let a = p
-            .next_tx(SimTime::ZERO, || 1.0, &mut arena, &mut NoopSubscriber)
-            .unwrap();
-        // 1538 B at 10 Gbps, same as the inline-FIFO tx_time test.
-        assert_eq!(a.tx_time, Duration::from_nanos(1230));
-        assert!(p
-            .next_tx(SimTime::ZERO, || 1.0, &mut arena, &mut NoopSubscriber)
-            .is_some());
-        assert!(p
-            .next_tx(SimTime::ZERO, || 1.0, &mut arena, &mut NoopSubscriber)
-            .is_none());
-        assert_eq!(p.backlog_bytes(), 0);
+    /// A minimum-size (84 B on the wire) packet carrying `seq`.
+    fn tiny(seq: u64) -> Packet {
+        Packet::data(FlowId(1), NodeId(0), NodeId(2), seq, 0)
+    }
+
+    /// A switch-sized FIFO port whose byte capacity admits far more tiny
+    /// packets than its 16 pre-sized slots.
+    fn tiny_packet_port() -> EgressPort {
+        let p = port(PortConfig::fifo(4_000, Box::new(DropTail::new())));
+        assert_eq!(p.fifo_slots, 16);
+        p
+    }
+
+    fn drain_seqs(p: &mut EgressPort, meter: &mut SpillMeter) -> Vec<u64> {
+        std::iter::from_fn(|| p.next_tx(SimTime::ZERO, || 1.0, meter, &mut NoopSubscriber))
+            .map(|tx| tx.pkt.seq())
+            .collect()
     }
 
     #[test]
-    fn pooled_port_marks_at_enqueue_like_fifo() {
-        let (mut p, mut arena) = pooled(PortConfig::fifo(
-            1_000_000,
-            Box::new(DctcpRed::with_threshold(3_500)),
-        ));
+    fn overflow_keeps_fifo_order() {
+        // 20 tiny packets into 16 slots: 4 spill. Interleave dequeues so
+        // the queue shrinks below and grows past the slots again.
+        let mut p = tiny_packet_port();
+        let mut meter = SpillMeter::new();
+        for i in 0..20 {
+            assert!(p.enqueue(SimTime::ZERO, tiny(i), &mut meter, &mut NoopSubscriber));
+        }
+        assert_eq!(p.backlog_pkts(), 20);
+        assert_eq!(p.backlog_bytes(), 20 * 84);
+        assert_eq!(meter.spilled, 4);
+        let mut out = Vec::new();
         for _ in 0..3 {
-            assert!(p.enqueue(SimTime::ZERO, pkt(1460), &mut arena, &mut NoopSubscriber));
+            let tx = p.next_tx(SimTime::ZERO, || 1.0, &mut meter, &mut NoopSubscriber);
+            out.push(tx.unwrap().pkt.seq());
         }
-        assert_eq!(p.stats().enq_marks, 1);
-        let mut last = None;
-        while let Some(tx) = p.next_tx(SimTime::ZERO, || 1.0, &mut arena, &mut NoopSubscriber) {
-            last = Some(tx.pkt.ecn());
+        assert_eq!(meter.spilled, 1);
+        for i in 20..22 {
+            assert!(p.enqueue(SimTime::ZERO, tiny(i), &mut meter, &mut NoopSubscriber));
         }
-        assert_eq!(last, Some(Ecn::Ce), "marked packet dequeues last");
+        assert_eq!(meter.spilled, 3);
+        out.extend(drain_seqs(&mut p, &mut meter));
+        assert_eq!(out, (0..22).collect::<Vec<_>>());
+        assert_eq!((p.backlog_pkts(), p.backlog_bytes()), (0, 0));
+        assert_eq!(meter.spilled, 0);
+    }
+
+    #[test]
+    fn overflow_ceiling_latches_breach_without_perturbing_fifo() {
+        let mut p = tiny_packet_port();
+        let mut meter = SpillMeter::new();
+        meter.set_overflow_ceiling(Some(1));
+        for i in 0..18 {
+            assert!(p.enqueue(SimTime::ZERO, tiny(i), &mut meter, &mut NoopSubscriber));
+        }
+        // 2 spilled with a ceiling of 1: breached, FIFO order intact.
+        assert_eq!(meter.overflow_breach(), Some((2, 1)));
+        assert_eq!(p.backlog_pkts(), 18);
+        assert_eq!(p.backlog_bytes(), 18 * 84);
+        assert_eq!(drain_seqs(&mut p, &mut meter), (0..18).collect::<Vec<_>>());
+        // The latch is sticky after the spill drains.
+        assert_eq!(meter.overflow_breach(), Some((0, 1)));
+        // Disarming resets the latch; re-spilling under MAX never trips.
+        meter.set_overflow_ceiling(None);
+        for i in 0..18 {
+            assert!(p.enqueue(SimTime::ZERO, tiny(i), &mut meter, &mut NoopSubscriber));
+        }
+        assert_eq!(meter.overflow_breach(), None);
     }
 
     #[test]
@@ -778,19 +831,19 @@ mod tests {
         assert!(p.enqueue(
             SimTime::ZERO,
             pkt(1460),
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber
         )); // 1538 wire
         assert!(p.enqueue(
             SimTime::ZERO,
             pkt(1460),
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber
         )); // 3076
         assert!(!p.enqueue(
             SimTime::ZERO,
             pkt(1460),
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber
         )); // would be 4614 > 4000
         assert_eq!(p.stats().tail_drops, 1);
@@ -806,20 +859,20 @@ mod tests {
         assert!(p.enqueue(
             SimTime::ZERO,
             pkt(1460),
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber
         )); // occupancy 1538
         assert!(p.enqueue(
             SimTime::ZERO,
             pkt(1460),
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber
         )); // occupancy 3076
             // Third packet pushes occupancy to 4614 > 3500: marked.
         assert!(p.enqueue(
             SimTime::ZERO,
             pkt(1460),
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber
         ));
         assert_eq!(p.stats().enq_marks, 1);
@@ -829,7 +882,7 @@ mod tests {
             .next_tx(
                 SimTime::ZERO,
                 &mut dice,
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber,
             )
             .unwrap();
@@ -837,7 +890,7 @@ mod tests {
             .next_tx(
                 SimTime::ZERO,
                 &mut dice,
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber,
             )
             .unwrap();
@@ -845,7 +898,7 @@ mod tests {
             .next_tx(
                 SimTime::ZERO,
                 &mut dice,
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber,
             )
             .unwrap();
@@ -863,7 +916,7 @@ mod tests {
         assert!(p.enqueue(
             SimTime::from_micros(0),
             pkt(1460),
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber
         ));
         // Dequeued 150 us later: sojourn above threshold, marked.
@@ -871,7 +924,7 @@ mod tests {
             .next_tx(
                 SimTime::from_micros(150),
                 &mut || 1.0,
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber,
             )
             .unwrap();
@@ -881,14 +934,14 @@ mod tests {
         assert!(p.enqueue(
             SimTime::from_micros(200),
             pkt(1460),
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber
         ));
         let tx = p
             .next_tx(
                 SimTime::from_micros(250),
                 &mut || 1.0,
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber,
             )
             .unwrap();
@@ -901,14 +954,14 @@ mod tests {
         p.enqueue(
             SimTime::ZERO,
             pkt(1460),
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber,
         );
         let tx = p
             .next_tx(
                 SimTime::ZERO,
                 &mut || 1.0,
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber,
             )
             .unwrap();
@@ -924,7 +977,7 @@ mod tests {
             p.enqueue(
                 SimTime::ZERO,
                 pkt(1460),
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber,
             );
         }
@@ -939,7 +992,7 @@ mod tests {
         let tx = p.next_tx(
             SimTime::ZERO,
             &mut dice,
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber,
         );
         assert!(tx.is_some());
@@ -947,7 +1000,7 @@ mod tests {
         let tx = p.next_tx(
             SimTime::ZERO,
             &mut dice,
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber,
         );
         assert!(tx.is_some());
@@ -956,7 +1009,7 @@ mod tests {
             .next_tx(
                 SimTime::ZERO,
                 &mut || 1.0,
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber
             )
             .is_none());
@@ -969,7 +1022,7 @@ mod tests {
             .next_tx(
                 SimTime::ZERO,
                 || 1.0,
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber
             )
             .is_none());
@@ -1020,7 +1073,7 @@ mod tests {
             p.enqueue(
                 SimTime::ZERO,
                 pkt(1460),
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber,
             );
         }
@@ -1037,7 +1090,7 @@ mod tests {
         let tx = p.next_tx(
             SimTime::ZERO,
             &mut dice,
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber,
         );
         assert!(tx.is_some());
@@ -1058,7 +1111,7 @@ mod tests {
             p.enqueue(
                 SimTime::ZERO,
                 pkt(1460),
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber,
             );
         }
@@ -1069,7 +1122,7 @@ mod tests {
                 draws += 1;
                 0.0
             },
-            &mut RingArena::new(),
+            &mut SpillMeter::new(),
             &mut NoopSubscriber,
         );
         assert!(tx.is_none(), "all packets lost to the burst");
@@ -1098,13 +1151,13 @@ mod tests {
             assert!(p.enqueue(
                 SimTime::ZERO,
                 pkt(1460),
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber
             ));
             while let Some(_tx) = p.next_tx(
                 SimTime::ZERO,
                 || rng.f64(),
-                &mut RingArena::new(),
+                &mut SpillMeter::new(),
                 &mut NoopSubscriber,
             ) {
                 sent += 1;
@@ -1128,14 +1181,14 @@ mod tests {
                 assert!(p.enqueue(
                     SimTime::ZERO,
                     pkt(1460),
-                    &mut RingArena::new(),
+                    &mut SpillMeter::new(),
                     &mut NoopSubscriber
                 ));
                 while p
                     .next_tx(
                         SimTime::ZERO,
                         || rng.f64(),
-                        &mut RingArena::new(),
+                        &mut SpillMeter::new(),
                         &mut NoopSubscriber,
                     )
                     .is_some()

@@ -121,8 +121,7 @@ impl<S: ShardSubscriber> Network<S> {
     ///
     /// Must be called on a freshly built network (`steps() == 0`):
     /// topology, routes, fault plans, scheduled flows and monitors are
-    /// installed first, then the run is sharded once. Packet tracing
-    /// ([`Network::enable_trace`]) is serial-only.
+    /// installed first, then the run is sharded once.
     ///
     /// The subscriber must implement
     /// [`ShardSubscriber`] — the
@@ -206,11 +205,6 @@ impl<S: ShardSubscriber> Network<S> {
             self.steps, 0,
             "sharded runs must start from a fresh network (steps() == 0)"
         );
-        #[cfg(feature = "packet-trace")]
-        assert!(
-            self.tracer.is_none(),
-            "packet tracing is serial-only; drop enable_trace or run serially"
-        );
         if plan.shard_count() == 1 {
             return self.try_run_until_idle();
         }
@@ -261,7 +255,7 @@ impl<S: ShardSubscriber> Network<S> {
             split_pushes += 1;
         }
         // Arm each shard's guards after its nodes and backlog are in
-        // place (ceilings attach to the queue and the owned arenas).
+        // place (ceilings attach to the queue and the owned spill meters).
         if !sup.is_disarmed() {
             for shard in &mut shards {
                 shard.set_supervision(sup);

@@ -34,9 +34,8 @@ use std::fmt;
 pub enum MemComponent {
     /// The central event queue (live scheduled events + armed timers).
     EventQueue,
-    /// The pooled switch-ring overflow deques ([`RingArena`] spill space).
-    ///
-    /// [`RingArena`]: https://docs.rs/
+    /// Switch FIFO packets held beyond their pre-sized slots (the
+    /// per-switch spill meter in `ecnsharp-net`).
     RingOverflow,
     /// Transport receiver out-of-order reassembly state.
     TransportOoo,
@@ -375,7 +374,8 @@ pub const DEFAULT_LIVELOCK_BUDGET: u64 = 1_000_000;
 pub const DEFAULT_STALL_ROUNDS: u64 = 8;
 
 /// Default admission ceiling for live events (queue + timers) per
-/// engine instance, and for pooled-ring overflow entries per switch.
+/// engine instance, and for FIFO packets a switch holds beyond its ports'
+/// pre-sized slots.
 /// Sized so a healthy full-scale run never approaches it while a
 /// runaway still fails fast long before the OOM killer.
 pub const DEFAULT_MEM_CEILING: u64 = 50_000_000;
@@ -393,8 +393,9 @@ pub struct Supervision {
     pub stall_rounds: Option<u64>,
     /// Event-queue admission ceiling in live events (`None` = unbounded).
     pub event_ceiling: Option<u64>,
-    /// Pooled-ring overflow ceiling in live spilled packets per switch
-    /// (`None` = unbounded).
+    /// Ring-overflow ceiling: live packets a switch's FIFO ports hold
+    /// beyond their pre-sized slots, summed per switch (`None` =
+    /// unbounded).
     pub ring_overflow_ceiling: Option<u64>,
     /// Drill: freeze every shard's window processing so the barrier-stall
     /// detector trips. Only honoured when `stall_rounds` is armed.

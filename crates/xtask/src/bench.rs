@@ -336,7 +336,7 @@ pub fn diff(old_path: &str, new_path: &str) -> bool {
 /// the baseline by more than its group budget fails the gate. Entries
 /// whose median (on either side) sits below [`MEASUREMENT_FLOOR_NS`] are
 /// skipped: sub-floor medians are quantization noise, not signal. The
-/// [`PAIRED_GATES`] groups are gated on their same-run pair ratio
+/// `PAIRED_GATES` groups are gated on their same-run pair ratio
 /// instead of against the committed baseline.
 pub fn check(root: &Path) -> bool {
     let baseline_path = root.join("BENCH_sim.json");
@@ -417,8 +417,8 @@ pub fn max_regression_for(group: &str) -> f64 {
         "shard_scaling" => 1.50,
         // Mixed group: one whole-simulation leaf-spine run (noisy, like
         // shard_scaling) next to copy/ring microbenches — sized for its
-        // noisiest member so the working-set bench can gate the pooled
-        // rings without flaking.
+        // noisiest member so the working-set bench can gate the port
+        // FIFO without flaking.
         "cache_pressure" => 1.40,
         _ => 1.25,
     }
@@ -442,7 +442,7 @@ const PAIRED_GATES: [(&str, &str, &str); 1] = [(
 /// The comparison half of [`check`], split out for unit testing: `true`
 /// iff no fresh entry regressed beyond its group's budget
 /// ([`max_regression_for`]) against its baseline counterpart, and every
-/// [`PAIRED_GATES`] pair present in `fresh` holds its same-run ratio.
+/// `PAIRED_GATES` pair present in `fresh` holds its same-run ratio.
 pub fn check_entries(baseline: &[BenchEntry], fresh: &[BenchEntry]) -> bool {
     let mut ok = true;
     let mut compared = 0usize;

@@ -4,8 +4,8 @@
 use ecn_sharp::aqm::DctcpRed;
 use ecn_sharp::core::{EcnSharp, EcnSharpConfig};
 use ecn_sharp::experiments::{run_testbed_star, FctScenario, Scheme};
-use ecn_sharp::net::topology::star;
-use ecn_sharp::net::{FlowCmd, FlowId, PortConfig};
+use ecn_sharp::net::topology::{leaf_spine, star};
+use ecn_sharp::net::{FlowCmd, FlowId, FlowOutcome, PortConfig};
 use ecn_sharp::sim::{Duration, Rate, SimTime};
 use ecn_sharp::transport::{TcpConfig, TcpStack};
 use ecn_sharp::workload::dists;
@@ -192,4 +192,74 @@ fn lossy_fabric_still_completes_all_flows() {
     topo.net.run_until_idle();
     assert_eq!(topo.net.records().len(), 30, "all flows must complete");
     assert_eq!(topo.net.unfinished_flows(), 0);
+}
+
+/// The switch path under the sharded engine: a small ECN♯ leaf-spine
+/// (2 spines × 2 leaves × 4 hosts, DCTCP endpoints) with every host
+/// sending to a 4-host hot set across the fabric gives the same flow
+/// records and engine counters serial and split over 2 shards, and every
+/// flow completes.
+#[test]
+fn leaf_spine_switch_path_is_shard_invariant() {
+    let run = |shards: u32| {
+        let ls = leaf_spine(
+            11,
+            2,
+            2,
+            4,
+            Rate::from_gbps(10),
+            Rate::from_gbps(10),
+            Duration::from_micros(2),
+            |_| TcpStack::boxed(TcpConfig::dctcp()),
+            || PortConfig::fifo(4_000_000, Box::new(DropTail::new())),
+            || {
+                PortConfig::fifo(
+                    200_000,
+                    Box::new(EcnSharp::new(EcnSharpConfig::new(
+                        Duration::from_micros(30),
+                        Duration::from_micros(5),
+                        Duration::from_micros(30),
+                    ))),
+                )
+            },
+        );
+        let plan = ls.shard_plan(shards);
+        let mut net = ls.net;
+        let n = ls.hosts.len() as u64;
+        let mut scheduled = 0;
+        for f in 0..4 * n {
+            let (src, dst) = (f % n, (f * 5 + 3) % 4 * 2);
+            if src == dst {
+                continue;
+            }
+            scheduled += 1;
+            net.schedule_flow(
+                SimTime::from_nanos(211 * f),
+                FlowCmd {
+                    flow: FlowId(f),
+                    src: ls.hosts[src as usize],
+                    dst: ls.hosts[dst as usize],
+                    size: 20_000 + 15_000 * (f % 11),
+                    class: 0,
+                    extra_delay: Duration::ZERO,
+                },
+            );
+        }
+        if shards == 1 {
+            net.run_until_idle();
+        } else {
+            net.run_sharded_until_idle(&plan);
+        }
+        let records = net.records();
+        assert_eq!(records.len(), scheduled, "{shards} shard(s)");
+        assert!(records.iter().all(|r| r.outcome == FlowOutcome::Completed));
+        // A sharded run reports the sum of per-shard queue peaks
+        // (documented on `Network::perf`); every other counter is exact.
+        let mut perf = net.perf();
+        perf.peak_pending = 0;
+        (format!("{records:?}"), perf, net.steps())
+    };
+    let serial = run(1);
+    assert!(serial.1.ce_marks > 0, "the ECN♯ switch ports never marked");
+    assert_eq!(serial, run(2));
 }
