@@ -5,7 +5,7 @@
 //! still walking the identical code paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ecnsharp_experiments::figures;
+use ecnsharp_experiments::figures::FIGURES;
 use ecnsharp_experiments::Scale;
 use std::hint::black_box;
 
@@ -17,44 +17,10 @@ fn bench_figures(c: &mut Criterion) {
     );
     let mut g = c.benchmark_group("figures_quick");
     g.sample_size(10);
-
-    g.bench_function("table1", |b| {
-        b.iter(|| black_box(figures::table1(Scale::Quick)))
-    });
-    g.bench_function("fig2", |b| {
-        b.iter(|| black_box(figures::fig2(Scale::Quick)))
-    });
-    g.bench_function("fig3", |b| {
-        b.iter(|| black_box(figures::fig3(Scale::Quick)))
-    });
-    g.bench_function("fig5", |b| b.iter(|| black_box(figures::fig5())));
-    g.bench_function("fig6", |b| {
-        b.iter(|| black_box(figures::fig6(Scale::Quick)))
-    });
-    g.bench_function("fig7", |b| {
-        b.iter(|| black_box(figures::fig7(Scale::Quick)))
-    });
-    g.bench_function("fig8", |b| {
-        b.iter(|| black_box(figures::fig8(Scale::Quick)))
-    });
-    g.bench_function("fig9", |b| {
-        b.iter(|| black_box(figures::fig9(Scale::Quick)))
-    });
-    g.bench_function("fig10", |b| {
-        b.iter(|| black_box(figures::fig10(Scale::Quick)))
-    });
-    g.bench_function("fig11", |b| {
-        b.iter(|| black_box(figures::fig11(Scale::Quick)))
-    });
-    g.bench_function("fig12", |b| {
-        b.iter(|| black_box(figures::fig12(Scale::Quick)))
-    });
-    g.bench_function("fig13", |b| {
-        b.iter(|| black_box(figures::fig13(Scale::Quick)))
-    });
-    g.bench_function("tofino_report", |b| {
-        b.iter(|| black_box(figures::tofino_report()))
-    });
+    // One bench per registered figure, named after its binary.
+    for fig in &FIGURES {
+        g.bench_function(fig.name, |b| b.iter(|| black_box((fig.run)(Scale::Quick))));
+    }
     g.finish();
 }
 

@@ -14,10 +14,9 @@
 
 use ecnsharp_core::{EcnSharpConfig, EcnSharpProb};
 use ecnsharp_experiments::{
-    run_incast_micro_with, run_testbed_star, FctScenario, IncastTimeline, Scale, Scheme,
-    SchemeParams,
+    run_incast_micro, try_run, FctScenario, IncastTimeline, RunOpts, Scale, Scheme, SchemeParams,
 };
-use ecnsharp_net::PortConfig;
+use ecnsharp_net::{NoopSubscriber, PortConfig};
 use ecnsharp_sim::{Duration, Rate};
 use ecnsharp_stats::Table;
 use ecnsharp_workload::{dists, RttVariation};
@@ -57,8 +56,8 @@ fn run() {
     ]);
     for (name, scheme) in variants(&params) {
         let sc = FctScenario::testbed(scheme.clone(), dists::web_search(), 0.6, flows, 314);
-        let (fct, _) = run_testbed_star(&sc);
-        let inc = run_incast_micro_with(scheme, fanout, 314, timeline);
+        let fct = try_run(&sc, RunOpts::default()).expect("disarmed run").fct;
+        let (inc, _) = run_incast_micro(scheme, fanout, 314, timeline, NoopSubscriber);
         t.row(&[
             name.into(),
             format!("{:.1}", fct.short.map(|s| s.avg * 1e6).unwrap_or(f64::NAN)),

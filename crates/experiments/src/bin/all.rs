@@ -4,33 +4,15 @@
 // Host-side harness: wall-clock progress timing never feeds the simulation.
 #![allow(clippy::disallowed_methods)]
 
-use ecnsharp_experiments::{figures, perf};
+use ecnsharp_experiments::figures::{regenerate, FIGURES};
+
 fn run() {
     let scale = ecnsharp_experiments::Scale::from_env_or_exit();
     let t0 = std::time::Instant::now();
-    for (name, f) in [
-        (
-            "table1",
-            Box::new(move || figures::table1(scale)) as Box<dyn Fn() -> ecnsharp_stats::Table>,
-        ),
-        ("fig2", Box::new(move || figures::fig2(scale))),
-        ("fig3", Box::new(move || figures::fig3(scale))),
-        ("fig5", Box::new(figures::fig5)),
-        ("fig6", Box::new(move || figures::fig6(scale))),
-        ("fig7", Box::new(move || figures::fig7(scale))),
-        ("fig8", Box::new(move || figures::fig8(scale))),
-        ("fig9", Box::new(move || figures::fig9(scale))),
-        ("fig10", Box::new(move || figures::fig10(scale))),
-        ("fig11", Box::new(move || figures::fig11(scale))),
-        ("fig12", Box::new(move || figures::fig12(scale))),
-        ("fig13", Box::new(move || figures::fig13(scale))),
-        ("tofino", Box::new(figures::tofino_report)),
-    ] {
-        println!("================ {name} ================");
-        let t = perf::timed(f);
-        print!("{}", t.result.render());
-        eprintln!("{}", t.report(name));
-        println!("[{name} done in {:.1}s]\n", t.wall_secs);
+    for fig in &FIGURES {
+        println!("================ {} ================", fig.name);
+        let wall_secs = regenerate(fig, scale);
+        println!("[{} done in {wall_secs:.1}s]\n", fig.name);
     }
     println!("full suite finished in {:.1}s", t0.elapsed().as_secs_f64());
 }

@@ -29,8 +29,11 @@
 // Host-side binary: env/exit/printing never feed the simulation.
 #![allow(clippy::disallowed_methods)]
 
-use ecnsharp_experiments::{env, perf, runner, ChaosResult, PointStatus, Scale, Scheme};
-use ecnsharp_net::Supervision;
+use ecnsharp_experiments::perf::{self, Totals};
+use ecnsharp_experiments::{
+    env, runner, try_run, Faults, FctRun, FctScenario, PointStatus, RunOpts, Scale, Scheme,
+};
+use ecnsharp_net::{NoopSubscriber, Supervision};
 use ecnsharp_sim::Duration;
 use ecnsharp_stats::{us, Table};
 use std::process::ExitCode;
@@ -38,13 +41,17 @@ use std::process::ExitCode;
 /// One sweep point. The integer `idx` doubles as the drill-injection key
 /// (the determinism lint forbids float comparisons, and an index is the
 /// honest identity of a grid point anyway).
-type Point = (usize, f64, Option<Duration>, Scheme);
+type Point = (usize, FctScenario);
 
-fn flap_label(flap: &Option<Duration>) -> String {
-    match flap {
+/// `(loss, flap_us, scheme)` of a chaos scenario as the point ids and
+/// CSVs print them (`-` = no flap).
+fn labels(sc: &FctScenario) -> (String, String, String) {
+    let f = sc.faults.expect("chaos scenario");
+    let flap = match f.flap_period {
         Some(d) => format!("{}", d.as_nanos() / 1_000),
         None => "-".into(),
-    }
+    };
+    (format!("{:?}", f.mean_loss), flap, sc.scheme.label())
 }
 
 fn main() -> ExitCode {
@@ -85,26 +92,26 @@ fn main() -> ExitCode {
     };
     let schemes = [Scheme::EcnSharp(None), Scheme::CoDel];
     let mut jobs: Vec<Point> = Vec::new();
-    for &loss in &losses {
+    for &mean_loss in &losses {
         for &f in &flap_us {
             for s in &schemes {
                 let idx = jobs.len();
-                jobs.push((idx, loss, f.map(Duration::from_micros), s.clone()));
+                let faults = Faults {
+                    mean_loss,
+                    flap_period: f.map(Duration::from_micros),
+                };
+                let point_seed = seed.wrapping_add(idx as u64 * 7919);
+                let sc = FctScenario::chaos(s.clone(), faults, n_flows, point_seed);
+                jobs.push((idx, sc));
             }
         }
     }
-    let meta: Vec<(f64, Option<Duration>, String)> = jobs
-        .iter()
-        .map(|(_, loss, flap, s)| (*loss, *flap, s.label()))
-        .collect();
-    let point_id = |(idx, loss, flap, s): &Point| {
-        format!(
-            "chaos-{idx}-loss{loss:?}-flap{}-{}",
-            flap_label(flap),
-            s.label()
-        )
+    let meta: Vec<_> = jobs.iter().map(|(_, sc)| labels(sc)).collect();
+    let point_id = |(idx, sc): &Point| {
+        let (loss, flap, scheme) = labels(sc);
+        format!("chaos-{idx}-loss{loss}-flap{flap}-{scheme}")
     };
-    let point_seed = |(idx, ..): &Point| seed.wrapping_add(*idx as u64 * 7919);
+    let point_seed = |(_, sc): &Point| sc.seed;
     let ids: Vec<String> = jobs.iter().map(point_id).collect();
     let seeds: Vec<u64> = jobs.iter().map(point_seed).collect();
 
@@ -115,24 +122,25 @@ fn main() -> ExitCode {
     println!("loss = GE mean burst-loss rate; flap_us = leaf0-spine0 flap period (- = no flap)\n");
 
     let t = perf::timed(|| {
-        runner::supervised_map(jobs, &cfg, point_id, point_seed, |p| {
-            let (idx, loss, flap, scheme) = p;
+        let report = runner::supervised_map(jobs, &cfg, point_id, point_seed, |(idx, sc)| {
             if inject_panic && *idx == 0 {
                 panic!("injected worker panic (ECNSHARP_INJECT_PANIC=worker)");
             }
-            let mut point_sup = sup;
-            point_sup.inject_stall = inject_stall && *idx == 0;
-            ecnsharp_experiments::try_run_chaos_leaf_spine_sharded(
-                scheme.clone(),
-                *loss,
-                *flap,
-                n_flows,
-                point_seed(p),
-                shards,
-                point_sup,
-                inject_livelock && *idx == 0,
-            )
-        })
+            let mut opts = RunOpts::sharded(NoopSubscriber, shards);
+            opts.supervision = sup;
+            opts.supervision.inject_stall = inject_stall && *idx == 0;
+            opts.inject_livelock = inject_livelock && *idx == 0;
+            try_run(sc, opts)
+        });
+        let perf = report
+            .points
+            .iter()
+            .filter_map(|p| match p {
+                PointStatus::Done(r) => Some(Totals::run(r.perf, r.end)),
+                _ => None,
+            })
+            .sum();
+        (report, perf)
     });
     let perf_line = t.report("chaos");
     let report = t.result;
@@ -159,41 +167,40 @@ fn main() -> ExitCode {
         "no_route_drops",
     ]);
     let mut aborts_t = Table::new(&["loss", "flap_us", "scheme", "failed", "timeouts"]);
-    for ((loss, flap, label), p) in meta.iter().zip(&report.points) {
+    for ((loss_s, flap_s, label), p) in meta.iter().zip(&report.points) {
         // Failed and resumed-skipped points are reported below and absent
         // from this run's CSVs.
-        let PointStatus::Done(r): &PointStatus<ChaosResult> = p else {
+        let PointStatus::Done(r): &PointStatus<FctRun<NoopSubscriber>> = p else {
             continue;
         };
-        let loss_s = format!("{loss:?}");
-        let flap_s = flap_label(flap);
+        let completed = r.fct.overall.count.to_string();
         fct_t.row(&[
             loss_s.clone(),
             flap_s.clone(),
             label.clone(),
-            r.completed.to_string(),
-            r.failed.to_string(),
+            completed,
+            r.fct.failed.to_string(),
             us(r.fct.overall.avg),
             us(r.fct.overall.p99),
             us(r.fct.short.map(|s| s.p99).unwrap_or(f64::NAN)),
-            r.timeouts.to_string(),
+            r.fct.timeouts.to_string(),
         ]);
         marks_t.row(&[
             loss_s.clone(),
             flap_s.clone(),
             label.clone(),
-            r.ce_marks.to_string(),
-            r.fault_drops.to_string(),
-            r.corrupt_drops.to_string(),
-            r.burst_drops.to_string(),
-            r.no_route_drops.to_string(),
+            r.perf.ce_marks.to_string(),
+            r.perf.fault_drops.to_string(),
+            r.perf.corrupt_drops.to_string(),
+            r.perf.burst_drops.to_string(),
+            r.perf.no_route_drops.to_string(),
         ]);
         aborts_t.row(&[
-            loss_s,
-            flap_s,
+            loss_s.clone(),
+            flap_s.clone(),
             label.clone(),
-            r.failed.to_string(),
-            r.timeouts.to_string(),
+            r.fct.failed.to_string(),
+            r.fct.timeouts.to_string(),
         ]);
     }
     let dir = runner::results_dir();

@@ -23,8 +23,8 @@
 use ecnsharp_aqm::Aqm;
 use ecnsharp_core::{EcnSharp, EcnSharpConfig};
 use ecnsharp_experiments::{
-    parallel_map, results_dir, run_incast_micro_with_subscriber, run_testbed_star_with_subscriber,
-    FctScenario, IncastTimeline, Scheme,
+    parallel_map, results_dir, run_incast_micro, try_run, FctScenario, IncastTimeline, RunOpts,
+    Scheme,
 };
 use ecnsharp_sim::{Duration, SimTime};
 use ecnsharp_telemetry::{HistogramRecorder, MetricsAggregator, TimelineSampler};
@@ -130,7 +130,7 @@ fn instrumented_incast() {
     );
     match ecnsharp_experiments::jsonl_sink_from_env_or_exit() {
         Some(json) => {
-            let (_, (metrics, ((hist, timeline), json))) = run_incast_micro_with_subscriber(
+            let (_, (metrics, ((hist, timeline), json))) = run_incast_micro(
                 scheme,
                 16,
                 3,
@@ -147,7 +147,7 @@ fn instrumented_incast() {
         }
         None => {
             let (_, (metrics, (hist, timeline))) =
-                run_incast_micro_with_subscriber(scheme, 16, 3, IncastTimeline::Compressed, sub);
+                run_incast_micro(scheme, 16, 3, IncastTimeline::Compressed, sub);
             report_incast(&metrics, &hist, &timeline);
         }
     }
@@ -163,8 +163,9 @@ fn parallel_histogram_merge() {
             40,
             seed,
         );
-        let (_, _, hist) = run_testbed_star_with_subscriber(&sc, HistogramRecorder::new());
-        hist
+        try_run(&sc, RunOpts::serial(HistogramRecorder::new()))
+            .expect("disarmed run")
+            .subscriber
     });
     let mut merged = HistogramRecorder::new();
     for h in &per_worker {

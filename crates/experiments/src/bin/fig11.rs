@@ -1,16 +1,5 @@
 //! Regenerates Figure 11: query FCT vs incast fanout.
-fn run() {
-    let scale = ecnsharp_experiments::Scale::from_env_or_exit();
-    println!("Figure 11 — [Simulations] query-flow completion time vs concurrent senders");
-    println!("paper headlines: CoDel collapses (losses) at ~100 senders; ECN# survives to ~175 (1.75x more)");
-    println!();
-    let t = ecnsharp_experiments::perf::timed(|| ecnsharp_experiments::figures::fig11(scale));
-    print!("{}", t.result.render());
-    eprintln!("{}", t.report("fig11"));
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("fig11", run)
+    ecnsharp_experiments::figures::main("fig11")
 }

@@ -1,16 +1,5 @@
 //! Regenerates Figure 12: ECN# parameter sensitivity.
-fn run() {
-    let scale = ecnsharp_experiments::Scale::from_env_or_exit();
-    println!("Figure 12 — [Simulations] parameter sensitivity (pst_interval 100-250us, pst_target 6-18us)");
-    println!("paper headline: overall-FCT variation <1% (web search), <0.2% (data mining)");
-    println!();
-    let t = ecnsharp_experiments::perf::timed(|| ecnsharp_experiments::figures::fig12(scale));
-    print!("{}", t.result.render());
-    eprintln!("{}", t.report("fig12"));
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("fig12", run)
+    ecnsharp_experiments::figures::main("fig12")
 }

@@ -1,16 +1,5 @@
 //! Regenerates Figure 13: ECN# under DWRR packet scheduling.
-fn run() {
-    let scale = ecnsharp_experiments::Scale::from_env_or_exit();
-    println!("Figure 13 — [Simulations] DWRR (3 classes, weights 2:1:1): goodput staircase + short-probe FCT vs TCN");
-    println!("paper headlines: goodput ~9.6 -> 6.42/3.18 -> 4.82/2.40/2.40 Gbps; probe FCT 19.6% better than TCN");
-    println!();
-    let t = ecnsharp_experiments::perf::timed(|| ecnsharp_experiments::figures::fig13(scale));
-    print!("{}", t.result.render());
-    eprintln!("{}", t.report("fig13"));
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("fig13", run)
+    ecnsharp_experiments::figures::main("fig13")
 }

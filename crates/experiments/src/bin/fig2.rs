@@ -1,17 +1,6 @@
 //! Regenerates Figure 2: instantaneous-threshold sweep under 3x RTT
 //! variation — no single K achieves both high throughput and low latency.
-fn run() {
-    let scale = ecnsharp_experiments::Scale::from_env_or_exit();
-    println!("Figure 2 — [Testbed] marking-threshold sweep (web search @50%, 3x RTT variation, normalized to K=50KB)");
-    println!("paper headlines: K from p90 RTT (250KB) -> short p99 +119%; K from avg RTT -> 8% throughput loss");
-    println!();
-    let t = ecnsharp_experiments::perf::timed(|| ecnsharp_experiments::figures::fig2(scale));
-    print!("{}", t.result.render());
-    eprintln!("{}", t.report("fig2"));
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("fig2", run)
+    ecnsharp_experiments::figures::main("fig2")
 }

@@ -1,17 +1,6 @@
 //! Regenerates Figure 3: larger RTT variations enlarge the performance gap
 //! between avg-RTT and p90-RTT thresholds.
-fn run() {
-    let scale = ecnsharp_experiments::Scale::from_env_or_exit();
-    println!("Figure 3 — [Testbed] performance loss vs RTT variation (2x..5x)");
-    println!("paper headlines: avg-threshold throughput loss 6.7%->29.8%; tail-threshold short-p99 penalty 41%->198%");
-    println!();
-    let t = ecnsharp_experiments::perf::timed(|| ecnsharp_experiments::figures::fig3(scale));
-    print!("{}", t.result.render());
-    eprintln!("{}", t.report("fig3"));
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("fig3", run)
+    ecnsharp_experiments::figures::main("fig3")
 }

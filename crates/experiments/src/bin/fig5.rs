@@ -1,12 +1,5 @@
 //! Regenerates Figure 5: the web-search and data-mining flow-size CDFs.
-fn run() {
-    println!("Figure 5 — flow size distributions (DCTCP web search, VL2 data mining)");
-    println!();
-    print!("{}", ecnsharp_experiments::figures::fig5().render());
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("fig5", run)
+    ecnsharp_experiments::figures::main("fig5")
 }

@@ -2,18 +2,7 @@
 //!
 //! Run `ECNSHARP_SCALE=quick cargo run --release -p ecnsharp-experiments
 //! --bin fig6` for a fast pass; default is full fidelity.
-fn run() {
-    let scale = ecnsharp_experiments::Scale::from_env_or_exit();
-    println!("Figure 6 — [Testbed] FCT, web search workload (normalized to DCTCP-RED-Tail)");
-    println!("paper headlines: ECN# short-flow avg up to -23.4%, p99 up to -37.2%; CoDel much worse; RED-AVG hurts large flows >20%");
-    println!();
-    let t = ecnsharp_experiments::perf::timed(|| ecnsharp_experiments::figures::fig6(scale));
-    print!("{}", t.result.render());
-    eprintln!("{}", t.report("fig6"));
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("fig6", run)
+    ecnsharp_experiments::figures::main("fig6")
 }

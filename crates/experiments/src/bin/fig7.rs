@@ -1,16 +1,5 @@
 //! Regenerates Figure 7: testbed FCT statistics, data-mining workload.
-fn run() {
-    let scale = ecnsharp_experiments::Scale::from_env_or_exit();
-    println!("Figure 7 — [Testbed] FCT, data mining workload (normalized to DCTCP-RED-Tail)");
-    println!("paper headlines: ECN# short-flow avg up to -31.2%, p99 up to -37.6%; large flows comparable to RED-Tail");
-    println!();
-    let t = ecnsharp_experiments::perf::timed(|| ecnsharp_experiments::figures::fig7(scale));
-    print!("{}", t.result.render());
-    eprintln!("{}", t.report("fig7"));
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("fig7", run)
+    ecnsharp_experiments::figures::main("fig7")
 }

@@ -1,16 +1,5 @@
 //! Regenerates Figure 8: ECN# vs DCTCP-RED-Tail as RTT variation grows.
-fn run() {
-    let scale = ecnsharp_experiments::Scale::from_env_or_exit();
-    println!("Figure 8 — [Testbed] ECN# normalized to DCTCP-RED-Tail under 3x/4x/5x RTT variation (web search)");
-    println!("paper headlines: overall within 7.6%; short-flow p99 -37.3% (3x) to -73.4% (5x)");
-    println!();
-    let t = ecnsharp_experiments::perf::timed(|| ecnsharp_experiments::figures::fig8(scale));
-    print!("{}", t.result.render());
-    eprintln!("{}", t.report("fig8"));
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("fig8", run)
+    ecnsharp_experiments::figures::main("fig8")
 }

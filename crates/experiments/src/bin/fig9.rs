@@ -1,18 +1,5 @@
 //! Regenerates Figure 9: large-scale leaf-spine simulations.
-fn run() {
-    let scale = ecnsharp_experiments::Scale::from_env_or_exit();
-    println!("Figure 9 — [Simulations] 128-host leaf-spine, web search, ECMP (normalized to DCTCP-RED-Tail)");
-    println!(
-        "paper headlines: overall avg -26.3%..-37.4%; short-flow avg at least -18.5%, up to -36.9%"
-    );
-    println!();
-    let t = ecnsharp_experiments::perf::timed(|| ecnsharp_experiments::figures::fig9(scale));
-    print!("{}", t.result.render());
-    eprintln!("{}", t.report("fig9"));
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("fig9", run)
+    ecnsharp_experiments::figures::main("fig9")
 }

@@ -1,17 +1,6 @@
 //! Regenerates Table 1 / Figure 1: RTT statistics per processing-component
 //! combination (network stack / SLB / hypervisor / load).
-fn run() {
-    let scale = ecnsharp_experiments::Scale::from_env_or_exit();
-    println!("Table 1 / Figure 1 — [Testbed] RTT statistics (synthetic processing-delay pipeline vs paper measurements)");
-    println!("paper headline: up to 2.68x mean-RTT variation across component combinations");
-    println!();
-    let t = ecnsharp_experiments::perf::timed(|| ecnsharp_experiments::figures::table1(scale));
-    print!("{}", t.result.render());
-    eprintln!("{}", t.report("table1"));
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("table1", run)
+    ecnsharp_experiments::figures::main("table1")
 }

@@ -1,15 +1,5 @@
 //! Section-4 report: Tofino pipeline resources and Algorithm-2 fidelity.
-fn run() {
-    println!("Section 4 — Tofino implementation: resource usage & time-emulation fidelity");
-    println!();
-    print!(
-        "{}",
-        ecnsharp_experiments::figures::tofino_report().render()
-    );
-}
 
 fn main() -> std::process::ExitCode {
-    // Supervision exit contract: a panic anywhere above becomes one
-    // structured JSONL error line and exit 1 (see `runner::guarded_run`).
-    ecnsharp_experiments::guarded_run("tofino_report", run)
+    ecnsharp_experiments::figures::main("tofino_report")
 }

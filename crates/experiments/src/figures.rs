@@ -1,12 +1,18 @@
 //! One function per paper table/figure. Each returns a [`Table`] whose
 //! rows mirror what the paper plots, writes a CSV under the results
 //! directory, and (where the paper states numbers) includes the paper's
-//! value next to the measured one.
+//! value next to the measured one. Figures that simulate also return the
+//! merged [`Totals`] of their own runs. [`FIGURES`] registers every one
+//! with its binary name and header; [`main`] is each binary's entry point.
 
-use crate::runner::{parallel_map, results_dir, Scale};
-use crate::scenario::{run_dwrr, run_leaf_spine, run_testbed_star, FctScenario};
+use crate::perf::{timed, Totals};
+use crate::runner::{guarded_run, parallel_map, results_dir, Scale};
+use crate::scenario::{
+    run_dwrr, run_incast_micro, try_run, Fabric, FctScenario, IncastResult, IncastTimeline, RunOpts,
+};
 use crate::scheme::{Scheme, SchemeParams};
 use ecnsharp_core::EcnSharpConfig;
+use ecnsharp_net::NoopSubscriber;
 use ecnsharp_sim::{Duration, Rate, Rng};
 use ecnsharp_stats::{average_breakdowns, ratio, us, FctBreakdown, Table};
 use ecnsharp_tofino::{reference_ticks, RegisterFile, TimeEmulator, TofinoEcnSharp, WrapCmp};
@@ -19,14 +25,30 @@ fn save(table: &Table, name: &str) {
     }
 }
 
+/// Split per-job `(result, counters)` pairs, merging the counters.
+fn unzip<R>(jobs: Vec<(R, Totals)>) -> (Vec<R>, Totals) {
+    let perf = jobs.iter().map(|(_, t)| *t).sum();
+    (jobs.into_iter().map(|(r, _)| r).collect(), perf)
+}
+
+/// One FCT run, sharded per the `ECNSHARP_SHARDS` knob. Supervision is
+/// disarmed, so the only possible error is a worker panic — rethrown.
+fn fct_run(sc: &FctScenario) -> (FctBreakdown, Totals) {
+    let shards = crate::env::or_exit(crate::env::shards());
+    match try_run(sc, RunOpts::sharded(NoopSubscriber, shards)) {
+        Ok(r) => (r.fct, Totals::run(r.perf, r.end)),
+        Err(e) => panic!("FCT run failed: {e}"),
+    }
+}
+
 /// Average an FCT scenario over `seeds` seeds.
-fn averaged_fct(base: &FctScenario, seeds: u64) -> FctBreakdown {
-    let runs: Vec<FctBreakdown> = parallel_map((0..seeds).collect::<Vec<u64>>(), |&s| {
+fn averaged_fct(base: &FctScenario, seeds: u64) -> (FctBreakdown, Totals) {
+    let (runs, perf) = unzip(parallel_map((0..seeds).collect::<Vec<u64>>(), |&s| {
         let mut sc = base.clone();
         sc.seed = base.seed + s * 7919;
-        run_testbed_star(&sc).0
-    });
-    average_breakdowns(&runs)
+        fct_run(&sc)
+    }));
+    (average_breakdowns(&runs), perf)
 }
 
 // ─────────────────────────────────────────────────────────────────────────
@@ -80,9 +102,9 @@ pub fn table1(scale: Scale) -> Table {
 /// and low tail latency. Sweeps K ∈ 50..250 KB at 50% web-search load;
 /// reports large-flow avg FCT (throughput proxy) and short-flow p99,
 /// normalized to the K = 50 KB run.
-pub fn fig2(scale: Scale) -> Table {
+pub fn fig2(scale: Scale) -> (Table, Totals) {
     let ks: Vec<u64> = vec![50_000, 100_000, 150_000, 200_000, 250_000];
-    let rows = parallel_map(ks.clone(), |&k| {
+    let (rows, perf) = unzip(parallel_map(ks.clone(), |&k| {
         let sc = FctScenario::testbed(
             Scheme::DctcpRedK(k),
             dists::web_search(),
@@ -91,7 +113,7 @@ pub fn fig2(scale: Scale) -> Table {
             11,
         );
         averaged_fct(&sc, scale.seeds())
-    });
+    }));
     let base = &rows[0];
     let mut t = Table::new(&[
         "K_KB",
@@ -114,7 +136,7 @@ pub fn fig2(scale: Scale) -> Table {
         ]);
     }
     save(&t, "fig2");
-    t
+    (t, perf)
 }
 
 // ─────────────────────────────────────────────────────────────────────────
@@ -124,9 +146,9 @@ pub fn fig2(scale: Scale) -> Table {
 /// Fig. 3: sweep the RTT variation 2×–5×; for each, run thresholds from
 /// the average and the 90th-percentile RTT; report large-flow avg and
 /// short-flow p99 normalized to the average-RTT threshold run.
-pub fn fig3(scale: Scale) -> Table {
+pub fn fig3(scale: Scale) -> (Table, Totals) {
     let variations: Vec<u64> = vec![2, 3, 4, 5];
-    let rows = parallel_map(variations.clone(), |&n| {
+    let (rows, perf) = unzip(parallel_map(variations.clone(), |&n| {
         let rtt = RttVariation::paper_nx(n);
         let run = |scheme: Scheme| {
             let mut sc =
@@ -134,8 +156,10 @@ pub fn fig3(scale: Scale) -> Table {
             sc.rtt = rtt;
             averaged_fct(&sc, scale.seeds())
         };
-        (run(Scheme::DctcpRedAvg), run(Scheme::DctcpRedTail))
-    });
+        let ((avg, avg_perf), (tail, tail_perf)) =
+            (run(Scheme::DctcpRedAvg), run(Scheme::DctcpRedTail));
+        ((avg, tail), [avg_perf, tail_perf].into_iter().sum())
+    }));
     let mut t = Table::new(&[
         "variation",
         "tail_vs_avg:large_avg",
@@ -163,7 +187,7 @@ pub fn fig3(scale: Scale) -> Table {
         ]);
     }
     save(&t, "fig3");
-    t
+    (t, perf)
 }
 
 // ─────────────────────────────────────────────────────────────────────────
@@ -194,7 +218,7 @@ fn testbed_fct_figure(
     cdf: ecnsharp_workload::PiecewiseCdf,
     flows: usize,
     scale: Scale,
-) -> Table {
+) -> (Table, Totals) {
     let loads = scale.loads();
     let schemes = Scheme::testbed_set();
     let mut jobs = Vec::new();
@@ -203,10 +227,10 @@ fn testbed_fct_figure(
             jobs.push((load, scheme.clone()));
         }
     }
-    let results = parallel_map(jobs.clone(), |(load, scheme)| {
+    let (results, perf) = unzip(parallel_map(jobs.clone(), |(load, scheme)| {
         let sc = FctScenario::testbed(scheme.clone(), cdf.clone(), *load, flows, 37);
         averaged_fct(&sc, scale.seeds())
-    });
+    }));
     let mut t = Table::new(&[
         "load",
         "scheme",
@@ -246,19 +270,19 @@ fn testbed_fct_figure(
         }
     }
     save(&t, name);
-    t
+    (t, perf)
 }
 
 /// Fig. 6: testbed FCT with the web-search workload, loads 10–90%,
 /// DCTCP-RED-Tail / DCTCP-RED-AVG / CoDel / ECN♯ (normalized to RED-Tail).
-pub fn fig6(scale: Scale) -> Table {
+pub fn fig6(scale: Scale) -> (Table, Totals) {
     testbed_fct_figure("fig6", dists::web_search(), scale.flows(), scale)
 }
 
 /// Fig. 7: same as Fig. 6 with the data-mining workload. Quick-scale runs
 /// cap the flow count: the heavy tail makes even 60 data-mining flows the
 /// slowest smoke run by far, and the smoke sweep only checks plumbing.
-pub fn fig7(scale: Scale) -> Table {
+pub fn fig7(scale: Scale) -> (Table, Totals) {
     let flows = scale.cap_quick(scale.flows_dm(), 40);
     testbed_fct_figure("fig7", dists::data_mining(), flows, scale)
 }
@@ -269,7 +293,7 @@ pub fn fig7(scale: Scale) -> Table {
 
 /// Fig. 8: normalized FCT of ECN♯ to DCTCP-RED-Tail under 3×/4×/5× RTT
 /// variation (web search): overall average and short-flow p99.
-pub fn fig8(scale: Scale) -> Table {
+pub fn fig8(scale: Scale) -> (Table, Totals) {
     let loads = scale.loads();
     let variations: Vec<u64> = vec![3, 4, 5];
     let mut jobs = Vec::new();
@@ -280,7 +304,7 @@ pub fn fig8(scale: Scale) -> Table {
             }
         }
     }
-    let results = parallel_map(jobs.clone(), |(n, load, scheme)| {
+    let (results, perf) = unzip(parallel_map(jobs.clone(), |(n, load, scheme)| {
         let mut sc = FctScenario::testbed(
             scheme.clone(),
             dists::web_search(),
@@ -290,7 +314,7 @@ pub fn fig8(scale: Scale) -> Table {
         );
         sc.rtt = RttVariation::paper_nx(*n);
         averaged_fct(&sc, scale.seeds())
-    });
+    }));
     let mut t = Table::new(&[
         "variation",
         "load",
@@ -318,7 +342,7 @@ pub fn fig8(scale: Scale) -> Table {
         }
     }
     save(&t, "fig8");
-    t
+    (t, perf)
 }
 
 // ─────────────────────────────────────────────────────────────────────────
@@ -327,7 +351,7 @@ pub fn fig8(scale: Scale) -> Table {
 
 /// Fig. 9: leaf-spine fabric (8×8×16 at full scale), web-search workload,
 /// ECMP; overall and short-flow average FCT normalized to DCTCP-RED-Tail.
-pub fn fig9(scale: Scale) -> Table {
+pub fn fig9(scale: Scale) -> (Table, Totals) {
     let (spines, leaves, hpl, flows, loads): (usize, usize, usize, usize, Vec<f64>) = match scale {
         Scale::Full => (
             8,
@@ -346,11 +370,16 @@ pub fn fig9(scale: Scale) -> Table {
             jobs.push((load, scheme.clone()));
         }
     }
-    let results = parallel_map(jobs, |(load, scheme)| {
+    let (results, perf) = unzip(parallel_map(jobs, |(load, scheme)| {
         let mut sc = FctScenario::testbed(scheme.clone(), dists::web_search(), *load, flows, 53);
         sc.rtt = RttVariation::sim_3x();
-        run_leaf_spine(&sc, spines, leaves, hpl)
-    });
+        sc.fabric = Fabric::LeafSpine {
+            spines,
+            leaves,
+            hosts_per_leaf: hpl,
+        };
+        fct_run(&sc)
+    }));
     let mut t = Table::new(&[
         "load",
         "NFCT_overall_avg",
@@ -372,33 +401,45 @@ pub fn fig9(scale: Scale) -> Table {
         ]);
     }
     save(&t, "fig9");
-    t
+    (t, perf)
 }
 
 // ─────────────────────────────────────────────────────────────────────────
 // Figure 10: queue-occupancy microscope
 // ─────────────────────────────────────────────────────────────────────────
 
+/// One incast-microscope run and its counters.
+fn incast(
+    scheme: Scheme,
+    fanout: usize,
+    seed: u64,
+    timeline: IncastTimeline,
+) -> (IncastResult, Totals) {
+    let (r, _) = run_incast_micro(scheme, fanout, seed, timeline, NoopSubscriber);
+    let perf = Totals::run(r.perf, r.end);
+    (r, perf)
+}
+
 /// Fig. 10: queue occupancy over a 5 ms window around a 100-flow incast,
 /// per scheme; paper headline: RED-Tail ≈ 182 pkt average vs ECN♯ ≈ 8 pkt,
 /// CoDel drops ~125 packets.
-pub fn fig10(scale: Scale) -> Table {
+pub fn fig10(scale: Scale) -> (Table, Totals) {
     let fanout = match scale {
         Scale::Full | Scale::Mid => 100,
         Scale::Quick => 40,
     };
     let timeline = match scale {
-        Scale::Full => crate::scenario::IncastTimeline::Paper,
-        Scale::Mid | Scale::Quick => crate::scenario::IncastTimeline::Compressed,
+        Scale::Full => IncastTimeline::Paper,
+        Scale::Mid | Scale::Quick => IncastTimeline::Compressed,
     };
     let schemes = vec![
         Scheme::DctcpRedTail,
         Scheme::CoDelDrop,
         Scheme::EcnSharp(None),
     ];
-    let results = parallel_map(schemes.clone(), |scheme| {
-        crate::scenario::run_incast_micro_with(scheme.clone(), fanout, 61, timeline)
-    });
+    let (results, perf) = unzip(parallel_map(schemes.clone(), |scheme| {
+        incast(scheme.clone(), fanout, 61, timeline)
+    }));
     let mut t = Table::new(&[
         "scheme",
         "standing_queue_pkts",
@@ -440,7 +481,7 @@ pub fn fig10(scale: Scale) -> Table {
         ]);
     }
     save(&t, "fig10");
-    t
+    (t, perf)
 }
 
 // ─────────────────────────────────────────────────────────────────────────
@@ -450,7 +491,7 @@ pub fn fig10(scale: Scale) -> Table {
 /// Fig. 11: average and p99 query completion time as the incast fanout
 /// grows; CoDel collapses (timeouts) around 100 senders, ECN♯ survives to
 /// ~175 (the paper's 1.75× headline).
-pub fn fig11(scale: Scale) -> Table {
+pub fn fig11(scale: Scale) -> (Table, Totals) {
     let fanouts: Vec<usize> = match scale {
         Scale::Full => vec![25, 50, 75, 100, 125, 150, 175, 200],
         Scale::Mid => vec![50, 100, 150, 200],
@@ -468,12 +509,12 @@ pub fn fig11(scale: Scale) -> Table {
         }
     }
     let timeline = match scale {
-        Scale::Full => crate::scenario::IncastTimeline::Paper,
-        Scale::Mid | Scale::Quick => crate::scenario::IncastTimeline::Compressed,
+        Scale::Full => IncastTimeline::Paper,
+        Scale::Mid | Scale::Quick => IncastTimeline::Compressed,
     };
-    let results = parallel_map(jobs, |(f, s)| {
-        crate::scenario::run_incast_micro_with(s.clone(), *f, 67, timeline)
-    });
+    let (results, perf) = unzip(parallel_map(jobs, |(f, s)| {
+        incast(s.clone(), *f, 67, timeline)
+    }));
     let mut t = Table::new(&[
         "fanout",
         "scheme",
@@ -498,7 +539,7 @@ pub fn fig11(scale: Scale) -> Table {
         }
     }
     save(&t, "fig11");
-    t
+    (t, perf)
 }
 
 // ─────────────────────────────────────────────────────────────────────────
@@ -508,7 +549,7 @@ pub fn fig11(scale: Scale) -> Table {
 /// Fig. 12: overall FCT of ECN♯ under swept `pst_interval` (100–250 µs)
 /// and `pst_target` values, normalized to the rule-of-thumb setting —
 /// the paper reports <1% variation.
-pub fn fig12(scale: Scale) -> Table {
+pub fn fig12(scale: Scale) -> (Table, Totals) {
     let base_params = SchemeParams::derive(&RttVariation::paper_3x(), Rate::from_gbps(10));
     let base_cfg = base_params.ecnsharp();
     let intervals: Vec<u64> = vec![100, 150, 200, 250];
@@ -538,7 +579,7 @@ pub fn fig12(scale: Scale) -> Table {
             .map(|(w, c, n)| (n, c, w))
         })
         .collect();
-    let results = parallel_map(jobs.clone(), |(_, cfg, workload)| {
+    let (results, perf) = unzip(parallel_map(jobs.clone(), |(_, cfg, workload)| {
         // Quick-scale caps: the 18-setting × 2-workload sweep is the widest
         // figure; uncapped it dominates the smoke sweep's wall time.
         let (cdf, flows) = if *workload == "web_search" {
@@ -548,7 +589,7 @@ pub fn fig12(scale: Scale) -> Table {
         };
         let sc = FctScenario::testbed(Scheme::EcnSharp(Some(*cfg)), cdf, 0.6, flows, 71);
         averaged_fct(&sc, scale.seeds())
-    });
+    }));
     let mut t = Table::new(&[
         "setting",
         "workload",
@@ -572,7 +613,7 @@ pub fn fig12(scale: Scale) -> Table {
         ]);
     }
     save(&t, "fig12");
-    t
+    (t, perf)
 }
 
 // ─────────────────────────────────────────────────────────────────────────
@@ -581,13 +622,14 @@ pub fn fig12(scale: Scale) -> Table {
 
 /// Fig. 13: DWRR (weights 2:1:1) with ECN♯ — goodput staircase per class
 /// plus short-probe FCT vs TCN.
-pub fn fig13(scale: Scale) -> Table {
+pub fn fig13(scale: Scale) -> (Table, Totals) {
     let _ = scale;
     let schemes = vec![
         Scheme::EcnSharp(None),
         Scheme::Tcn(Some(Duration::from_micros(150))),
     ];
     let results = parallel_map(schemes.clone(), |s| run_dwrr(s.clone(), 73));
+    let perf = results.iter().map(|r| Totals::run(r.perf, r.end)).sum();
     // Goodput staircase (ECN♯ run) — Fig. 13a.
     let mut stair = Table::new(&["time_s", "class0_gbps", "class1_gbps", "class2_gbps"]);
     for (ts, g) in results[0].checkpoints.iter().zip(&results[0].goodput) {
@@ -618,7 +660,7 @@ pub fn fig13(scale: Scale) -> Table {
     for line in t.render().lines() {
         merged.row(&["probe_fct".into(), line.to_string()]);
     }
-    merged
+    (merged, perf)
 }
 
 // ─────────────────────────────────────────────────────────────────────────
@@ -693,6 +735,139 @@ pub fn tofino_report() -> Table {
     t
 }
 
+// ─────────────────────────────────────────────────────────────────────────
+// The figure registry and its driver
+// ─────────────────────────────────────────────────────────────────────────
+
+/// One paper table/figure: the binary that regenerates it, the header that
+/// binary prints, and the function computing it.
+pub struct Figure {
+    /// Binary name, `[perf]` label and `figures_quick` bench id.
+    pub name: &'static str,
+    /// First header line.
+    pub title: &'static str,
+    /// The paper's headline numbers, when it states any.
+    pub headline: Option<&'static str>,
+    /// Compute the table at a scale; returns it with the merged counters
+    /// of its runs.
+    pub run: fn(Scale) -> (Table, Totals),
+}
+
+/// Every paper table/figure, in the order `--bin all` runs them.
+pub const FIGURES: [Figure; 13] = [
+    Figure {
+        name: "table1",
+        title: "Table 1 / Figure 1 — [Testbed] RTT statistics (synthetic processing-delay pipeline vs paper measurements)",
+        headline: Some("paper headline: up to 2.68x mean-RTT variation across component combinations"),
+        run: |scale| (table1(scale), Totals::default()),
+    },
+    Figure {
+        name: "fig2",
+        title: "Figure 2 — [Testbed] marking-threshold sweep (web search @50%, 3x RTT variation, normalized to K=50KB)",
+        headline: Some("paper headlines: K from p90 RTT (250KB) -> short p99 +119%; K from avg RTT -> 8% throughput loss"),
+        run: fig2,
+    },
+    Figure {
+        name: "fig3",
+        title: "Figure 3 — [Testbed] performance loss vs RTT variation (2x..5x)",
+        headline: Some("paper headlines: avg-threshold throughput loss 6.7%->29.8%; tail-threshold short-p99 penalty 41%->198%"),
+        run: fig3,
+    },
+    Figure {
+        name: "fig5",
+        title: "Figure 5 — flow size distributions (DCTCP web search, VL2 data mining)",
+        headline: None,
+        run: |_| (fig5(), Totals::default()),
+    },
+    Figure {
+        name: "fig6",
+        title: "Figure 6 — [Testbed] FCT, web search workload (normalized to DCTCP-RED-Tail)",
+        headline: Some("paper headlines: ECN# short-flow avg up to -23.4%, p99 up to -37.2%; CoDel much worse; RED-AVG hurts large flows >20%"),
+        run: fig6,
+    },
+    Figure {
+        name: "fig7",
+        title: "Figure 7 — [Testbed] FCT, data mining workload (normalized to DCTCP-RED-Tail)",
+        headline: Some("paper headlines: ECN# short-flow avg up to -31.2%, p99 up to -37.6%; large flows comparable to RED-Tail"),
+        run: fig7,
+    },
+    Figure {
+        name: "fig8",
+        title: "Figure 8 — [Testbed] ECN# normalized to DCTCP-RED-Tail under 3x/4x/5x RTT variation (web search)",
+        headline: Some("paper headlines: overall within 7.6%; short-flow p99 -37.3% (3x) to -73.4% (5x)"),
+        run: fig8,
+    },
+    Figure {
+        name: "fig9",
+        title: "Figure 9 — [Simulations] 128-host leaf-spine, web search, ECMP (normalized to DCTCP-RED-Tail)",
+        headline: Some("paper headlines: overall avg -26.3%..-37.4%; short-flow avg at least -18.5%, up to -36.9%"),
+        run: fig9,
+    },
+    Figure {
+        name: "fig10",
+        title: "Figure 10 — [Simulations] queue occupancy (fanout burst at t=4s)",
+        headline: Some("paper headlines: DCTCP-RED-Tail ~182 pkts avg, ECN# ~8 pkts (95.6% lower), CoDel drops ~125 pkts"),
+        run: fig10,
+    },
+    Figure {
+        name: "fig11",
+        title: "Figure 11 — [Simulations] query-flow completion time vs concurrent senders",
+        headline: Some("paper headlines: CoDel collapses (losses) at ~100 senders; ECN# survives to ~175 (1.75x more)"),
+        run: fig11,
+    },
+    Figure {
+        name: "fig12",
+        title: "Figure 12 — [Simulations] parameter sensitivity (pst_interval 100-250us, pst_target 6-18us)",
+        headline: Some("paper headline: overall-FCT variation <1% (web search), <0.2% (data mining)"),
+        run: fig12,
+    },
+    Figure {
+        name: "fig13",
+        title: "Figure 13 — [Simulations] DWRR (3 classes, weights 2:1:1): goodput staircase + short-probe FCT vs TCN",
+        headline: Some("paper headlines: goodput ~9.6 -> 6.42/3.18 -> 4.82/2.40/2.40 Gbps; probe FCT 19.6% better than TCN"),
+        run: fig13,
+    },
+    Figure {
+        name: "tofino_report",
+        title: "Section 4 — Tofino implementation: resource usage & time-emulation fidelity",
+        headline: None,
+        run: |_| (tofino_report(), Totals::default()),
+    },
+];
+
+/// Print `fig`'s header, compute it at `scale` under [`timed`], then print
+/// the table to stdout and the `[perf]` line to stderr. Returns the wall
+/// seconds the computation took.
+pub fn regenerate(fig: &Figure, scale: Scale) -> f64 {
+    println!("{}", fig.title);
+    if let Some(headline) = fig.headline {
+        println!("{headline}");
+    }
+    println!();
+    let t = timed(|| (fig.run)(scale));
+    print!("{}", t.result.render());
+    eprintln!("{}", t.report(fig.name));
+    t.wall_secs
+}
+
+/// The `main` of the single-figure binary `name`: regenerate that figure
+/// at the `ECNSHARP_SCALE` scale under the supervision exit contract (a
+/// panic becomes one structured JSONL error line and exit 1; see
+/// [`guarded_run`]).
+///
+/// # Panics
+///
+/// If no figure is registered under `name`.
+pub fn main(name: &str) -> std::process::ExitCode {
+    let fig = FIGURES
+        .iter()
+        .find(|f| f.name == name)
+        .unwrap_or_else(|| panic!("no figure named {name:?}"));
+    guarded_run(name, || {
+        regenerate(fig, Scale::from_env_or_exit());
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,6 +887,18 @@ mod tests {
     fn table1_shape() {
         let t = table1(Scale::Quick);
         assert_eq!(t.to_csv().lines().count(), 6); // header + 5 cases
+    }
+
+    #[test]
+    fn registry_names_are_unique_and_match_the_binaries() {
+        let mut names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FIGURES.len());
+        let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for name in names {
+            assert!(bins.join(format!("{name}.rs")).exists(), "{name}");
+        }
     }
 
     #[test]

@@ -1,196 +1,97 @@
-//! Run-wide engine performance accounting for the figure binaries.
+//! Engine performance accounting for the figure binaries.
 //!
-//! Every scenario run absorbs its network's [`ecnsharp_net::PerfCounters`]
-//! into a process-global accumulator on completion (atomics, so the
-//! [`crate::parallel_map`] worker threads can report concurrently), and the
-//! binaries wrap their figure computation in [`timed`] to print an
-//! engine-rate line: events processed, ns/event, and — the number the
-//! ROADMAP cares about — simulated seconds per wall-clock second.
+//! Every run returns its own [`PerfCounters`] and end time; a figure
+//! merges the counters of its own runs into one [`Totals`] (every field
+//! summed, `peak_pending` the largest), and the binaries wrap the figure
+//! in [`timed`] to print an engine-rate line: events processed, ns/event,
+//! and simulated seconds per wall-clock second.
 //!
-//! Reading (or not reading) these counters cannot change simulation
-//! results: the accumulator is written after a run finishes and is never
-//! consulted by the engine. `tests/determinism.rs` in this crate pins that
-//! property.
+//! There is no process-global accumulator: counters travel with the run
+//! that produced them, so two figures computed concurrently cannot see
+//! each other's events. Reading (or not reading) them cannot change
+//! simulation results — `tests/determinism.rs` in this crate pins that.
 
 // Host-side instrumentation: wall-clock here measures the harness itself
 // and never feeds the simulation.
 #![allow(clippy::disallowed_methods)]
 
-use ecnsharp_net::{Network, Subscriber};
-use std::sync::atomic::{AtomicU64, Ordering};
+use ecnsharp_net::PerfCounters;
+use ecnsharp_sim::SimTime;
 use std::time::Instant;
 
-/// The process-global accumulator: every counter in one struct so the
-/// shared state is a single audited item, not fifteen scattered ones.
-/// All updates are commutative (`fetch_add`/`fetch_max`), so worker
-/// interleaving cannot change a snapshot taken after the joins.
-struct Accum {
-    events_pushed: AtomicU64,
-    events_popped: AtomicU64,
-    peak_pending: AtomicU64,
-    packets_forwarded: AtomicU64,
-    ce_marks: AtomicU64,
-    drops: AtomicU64,
-    sim_nanos: AtomicU64,
-    runs: AtomicU64,
-    timers_armed: AtomicU64,
-    timers_cancelled: AtomicU64,
-    timers_fired: AtomicU64,
-    timers_stale_suppressed: AtomicU64,
-    heap_spills: AtomicU64,
-    flows_failed: AtomicU64,
-    no_route_drops: AtomicU64,
-}
-
-impl Accum {
-    const fn new() -> Accum {
-        Accum {
-            events_pushed: AtomicU64::new(0),
-            events_popped: AtomicU64::new(0),
-            peak_pending: AtomicU64::new(0),
-            packets_forwarded: AtomicU64::new(0),
-            ce_marks: AtomicU64::new(0),
-            drops: AtomicU64::new(0),
-            sim_nanos: AtomicU64::new(0),
-            runs: AtomicU64::new(0),
-            timers_armed: AtomicU64::new(0),
-            timers_cancelled: AtomicU64::new(0),
-            timers_fired: AtomicU64::new(0),
-            timers_stale_suppressed: AtomicU64::new(0),
-            heap_spills: AtomicU64::new(0),
-            flows_failed: AtomicU64::new(0),
-            no_route_drops: AtomicU64::new(0),
-        }
-    }
-}
-
-// Host-side throughput accounting, written only after a run completes
-// and never consulted by the engine (tests/determinism.rs pins that),
-// so it cannot couple shards or perturb results.
-static ACCUM: Accum = Accum::new();
-
-/// Fold a finished run's counters into the process-global accumulator.
-/// Called by every `run_*` scenario just before it returns. Generic over
-/// the network's telemetry subscriber: counters exist (and agree) whether
-/// or not one is attached.
-pub fn absorb<S: Subscriber>(net: &Network<S>) {
-    let c = net.perf();
-    ACCUM
-        .events_pushed
-        .fetch_add(c.events_pushed, Ordering::Relaxed);
-    ACCUM
-        .events_popped
-        .fetch_add(c.events_popped, Ordering::Relaxed);
-    ACCUM
-        .peak_pending
-        .fetch_max(c.peak_pending, Ordering::Relaxed);
-    ACCUM
-        .packets_forwarded
-        .fetch_add(c.packets_forwarded, Ordering::Relaxed);
-    ACCUM.ce_marks.fetch_add(c.ce_marks, Ordering::Relaxed);
-    ACCUM.drops.fetch_add(c.drops, Ordering::Relaxed);
-    ACCUM
-        .sim_nanos
-        .fetch_add(net.now().as_nanos(), Ordering::Relaxed);
-    ACCUM.runs.fetch_add(1, Ordering::Relaxed);
-    ACCUM
-        .timers_armed
-        .fetch_add(c.timers_armed, Ordering::Relaxed);
-    ACCUM
-        .timers_cancelled
-        .fetch_add(c.timers_cancelled, Ordering::Relaxed);
-    ACCUM
-        .timers_fired
-        .fetch_add(c.timers_fired, Ordering::Relaxed);
-    ACCUM
-        .timers_stale_suppressed
-        .fetch_add(c.timers_stale_suppressed, Ordering::Relaxed);
-    ACCUM
-        .heap_spills
-        .fetch_add(c.heap_spills, Ordering::Relaxed);
-    ACCUM
-        .flows_failed
-        .fetch_add(c.flows_failed, Ordering::Relaxed);
-    ACCUM
-        .no_route_drops
-        .fetch_add(c.no_route_drops, Ordering::Relaxed);
-}
-
-/// Totals absorbed since the last [`reset`].
+/// Engine counters merged over one or more runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Snapshot {
-    /// Events scheduled, summed over runs.
-    pub events_pushed: u64,
-    /// Events processed, summed over runs.
-    pub events_popped: u64,
-    /// Largest pending-event peak of any single run.
-    pub peak_pending: u64,
-    /// Packets put on a wire (hop-counted), summed over runs.
-    pub packets_forwarded: u64,
-    /// CE marks applied, summed over runs.
-    pub ce_marks: u64,
-    /// Packets dropped, summed over runs.
-    pub drops: u64,
+pub struct Totals {
+    /// The runs' counters: every field summed, except `peak_pending`,
+    /// the largest peak of any single run.
+    pub counters: PerfCounters,
     /// Simulated nanoseconds, summed over runs.
     pub sim_nanos: u64,
-    /// Number of absorbed runs.
+    /// Number of merged runs.
     pub runs: u64,
-    /// Wheel timer arms (including re-arms), summed over runs.
-    pub timers_armed: u64,
-    /// Wheel timers cancelled before firing, summed over runs.
-    pub timers_cancelled: u64,
-    /// Wheel timers that fired, summed over runs.
-    pub timers_fired: u64,
-    /// Stale timers suppressed by in-place re-arm — queue events the
-    /// legacy backend would have pushed and popped for nothing.
-    pub timers_stale_suppressed: u64,
-    /// Events that bypassed both calendar horizons into the heap,
-    /// summed over runs.
-    pub heap_spills: u64,
-    /// Flows aborted after exhausting their RTO retries, summed over runs.
-    pub flows_failed: u64,
-    /// Switch discards for unreachable destinations, summed over runs.
-    pub no_route_drops: u64,
 }
 
-/// Read the accumulator.
-pub fn snapshot() -> Snapshot {
-    Snapshot {
-        events_pushed: ACCUM.events_pushed.load(Ordering::Relaxed),
-        events_popped: ACCUM.events_popped.load(Ordering::Relaxed),
-        peak_pending: ACCUM.peak_pending.load(Ordering::Relaxed),
-        packets_forwarded: ACCUM.packets_forwarded.load(Ordering::Relaxed),
-        ce_marks: ACCUM.ce_marks.load(Ordering::Relaxed),
-        drops: ACCUM.drops.load(Ordering::Relaxed),
-        sim_nanos: ACCUM.sim_nanos.load(Ordering::Relaxed),
-        runs: ACCUM.runs.load(Ordering::Relaxed),
-        timers_armed: ACCUM.timers_armed.load(Ordering::Relaxed),
-        timers_cancelled: ACCUM.timers_cancelled.load(Ordering::Relaxed),
-        timers_fired: ACCUM.timers_fired.load(Ordering::Relaxed),
-        timers_stale_suppressed: ACCUM.timers_stale_suppressed.load(Ordering::Relaxed),
-        heap_spills: ACCUM.heap_spills.load(Ordering::Relaxed),
-        flows_failed: ACCUM.flows_failed.load(Ordering::Relaxed),
-        no_route_drops: ACCUM.no_route_drops.load(Ordering::Relaxed),
+impl Totals {
+    /// The totals of one finished run: its counters and its end time.
+    pub fn run(counters: PerfCounters, end: SimTime) -> Totals {
+        Totals {
+            counters,
+            sim_nanos: end.as_nanos(),
+            runs: 1,
+        }
+    }
+
+    /// Fold `other` into `self`. Sum and max are commutative, so the
+    /// merge order of parallel workers cannot change the result.
+    pub fn merge(&mut self, other: &Totals) {
+        // Destructured so a new counter cannot be silently left out.
+        let PerfCounters {
+            events_pushed,
+            events_popped,
+            peak_pending,
+            packets_forwarded,
+            ce_marks,
+            drops,
+            timers_armed,
+            timers_cancelled,
+            timers_fired,
+            timers_stale_suppressed,
+            heap_spills,
+            flows_failed,
+            no_route_drops,
+            fault_drops,
+            corrupt_drops,
+            burst_drops,
+        } = other.counters;
+        let c = &mut self.counters;
+        c.events_pushed += events_pushed;
+        c.events_popped += events_popped;
+        c.peak_pending = c.peak_pending.max(peak_pending);
+        c.packets_forwarded += packets_forwarded;
+        c.ce_marks += ce_marks;
+        c.drops += drops;
+        c.timers_armed += timers_armed;
+        c.timers_cancelled += timers_cancelled;
+        c.timers_fired += timers_fired;
+        c.timers_stale_suppressed += timers_stale_suppressed;
+        c.heap_spills += heap_spills;
+        c.flows_failed += flows_failed;
+        c.no_route_drops += no_route_drops;
+        c.fault_drops += fault_drops;
+        c.corrupt_drops += corrupt_drops;
+        c.burst_drops += burst_drops;
+        self.sim_nanos += other.sim_nanos;
+        self.runs += other.runs;
     }
 }
 
-/// Zero the accumulator (start of a timed section).
-pub fn reset() {
-    ACCUM.events_pushed.store(0, Ordering::Relaxed);
-    ACCUM.events_popped.store(0, Ordering::Relaxed);
-    ACCUM.peak_pending.store(0, Ordering::Relaxed);
-    ACCUM.packets_forwarded.store(0, Ordering::Relaxed);
-    ACCUM.ce_marks.store(0, Ordering::Relaxed);
-    ACCUM.drops.store(0, Ordering::Relaxed);
-    ACCUM.sim_nanos.store(0, Ordering::Relaxed);
-    ACCUM.runs.store(0, Ordering::Relaxed);
-    ACCUM.timers_armed.store(0, Ordering::Relaxed);
-    ACCUM.timers_cancelled.store(0, Ordering::Relaxed);
-    ACCUM.timers_fired.store(0, Ordering::Relaxed);
-    ACCUM.timers_stale_suppressed.store(0, Ordering::Relaxed);
-    ACCUM.heap_spills.store(0, Ordering::Relaxed);
-    ACCUM.flows_failed.store(0, Ordering::Relaxed);
-    ACCUM.no_route_drops.store(0, Ordering::Relaxed);
+impl std::iter::Sum for Totals {
+    fn sum<I: Iterator<Item = Totals>>(iter: I) -> Totals {
+        iter.fold(Totals::default(), |mut acc, t| {
+            acc.merge(&t);
+            acc
+        })
+    }
 }
 
 /// Outcome of a [`timed`] section: the callee's result plus the rate
@@ -200,15 +101,15 @@ pub struct Timed<R> {
     pub result: R,
     /// Wall-clock seconds spent.
     pub wall_secs: f64,
-    /// Engine counters absorbed during the section.
-    pub perf: Snapshot,
+    /// Engine counters of the runs the section returned.
+    pub perf: Totals,
 }
 
 impl<R> Timed<R> {
     /// Events processed per wall-clock second (0 when nothing ran).
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
-            self.perf.events_popped as f64 / self.wall_secs
+            self.perf.counters.events_popped as f64 / self.wall_secs
         } else {
             0.0
         }
@@ -226,7 +127,7 @@ impl<R> Timed<R> {
     /// The [`Timed::report`] line as one JSON object (no trailing newline),
     /// for the `ECNSHARP_PERF_JSON` sink and machine consumers.
     pub fn to_json(&self, name: &str) -> String {
-        let p = &self.perf;
+        let (p, c) = (&self.perf, &self.perf.counters);
         format!(
             "{{\"name\":{:?},\"wall_secs\":{:.6},\"events_pushed\":{},\"events_popped\":{},\
              \"peak_pending\":{},\"packets_forwarded\":{},\"ce_marks\":{},\"drops\":{},\
@@ -236,21 +137,21 @@ impl<R> Timed<R> {
              \"no_route_drops\":{},\"events_per_sec\":{:.1},\"sim_secs_per_wall_sec\":{:.4}}}",
             name,
             self.wall_secs,
-            p.events_pushed,
-            p.events_popped,
-            p.peak_pending,
-            p.packets_forwarded,
-            p.ce_marks,
-            p.drops,
+            c.events_pushed,
+            c.events_popped,
+            c.peak_pending,
+            c.packets_forwarded,
+            c.ce_marks,
+            c.drops,
             p.sim_nanos,
             p.runs,
-            p.timers_armed,
-            p.timers_cancelled,
-            p.timers_fired,
-            p.timers_stale_suppressed,
-            p.heap_spills,
-            p.flows_failed,
-            p.no_route_drops,
+            c.timers_armed,
+            c.timers_cancelled,
+            c.timers_fired,
+            c.timers_stale_suppressed,
+            c.heap_spills,
+            c.flows_failed,
+            c.no_route_drops,
             self.events_per_sec(),
             self.sim_secs_per_wall_sec(),
         )
@@ -270,9 +171,9 @@ impl<R> Timed<R> {
                 std::process::exit(2);
             }
         }
-        let p = &self.perf;
-        let ns_per_event = if p.events_popped > 0 {
-            self.wall_secs * 1e9 / p.events_popped as f64
+        let (p, c) = (&self.perf, &self.perf.counters);
+        let ns_per_event = if c.events_popped > 0 {
+            self.wall_secs * 1e9 / c.events_popped as f64
         } else {
             0.0
         };
@@ -282,61 +183,67 @@ impl<R> Timed<R> {
              timers: {} armed, {} cancelled, {} fired, {} stale-suppressed | \
              {} heap spills | faults: {} failed flows, {} no-route drops",
             self.wall_secs,
-            p.events_popped,
+            c.events_popped,
             self.events_per_sec() / 1e6,
             ns_per_event,
             p.sim_nanos as f64 / 1e9,
             p.runs,
             self.sim_secs_per_wall_sec(),
-            p.packets_forwarded,
-            p.ce_marks,
-            p.drops,
-            p.timers_armed,
-            p.timers_cancelled,
-            p.timers_fired,
-            p.timers_stale_suppressed,
-            p.heap_spills,
-            p.flows_failed,
-            p.no_route_drops,
+            c.packets_forwarded,
+            c.ce_marks,
+            c.drops,
+            c.timers_armed,
+            c.timers_cancelled,
+            c.timers_fired,
+            c.timers_stale_suppressed,
+            c.heap_spills,
+            c.flows_failed,
+            c.no_route_drops,
         )
     }
 }
 
-/// Reset the accumulator, run `f`, and return its result together with the
-/// wall time and the engine counters it generated. The figure binaries use
+/// Run `f`, which returns a result and the merged counters of the runs
+/// it made, and return both with the wall time. The figure binaries use
 /// this so every invocation reports sim-seconds-per-wall-second.
-pub fn timed<R>(f: impl FnOnce() -> R) -> Timed<R> {
-    reset();
+pub fn timed<R>(f: impl FnOnce() -> (R, Totals)) -> Timed<R> {
     let t0 = Instant::now();
-    let result = f();
+    let (result, perf) = f();
     let wall_secs = t0.elapsed().as_secs_f64();
     Timed {
         result,
         wall_secs,
-        perf: snapshot(),
+        perf,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_incast_micro, IncastTimeline, Scheme};
+    use ecnsharp_net::NoopSubscriber;
+
+    fn incast() -> Totals {
+        let (r, _) = run_incast_micro(
+            Scheme::DctcpRedTail,
+            4,
+            1,
+            IncastTimeline::Compressed,
+            NoopSubscriber,
+        );
+        Totals::run(r.perf, r.end)
+    }
 
     #[test]
     fn timed_reports_engine_rate() {
         // A tiny real run: the quick incast micro scenario.
-        let t = timed(|| {
-            crate::run_incast_micro_with(
-                crate::Scheme::DctcpRedTail,
-                4,
-                1,
-                crate::IncastTimeline::Compressed,
-            )
-        });
-        assert!(t.perf.runs >= 1);
-        assert!(t.perf.events_popped > 0);
-        assert!(t.perf.events_pushed >= t.perf.events_popped);
+        let t = timed(|| ((), incast()));
+        let c = &t.perf.counters;
+        assert_eq!(t.perf.runs, 1);
+        assert!(c.events_popped > 0);
+        assert!(c.events_pushed >= c.events_popped);
         assert!(t.perf.sim_nanos > 0);
-        assert!(t.perf.packets_forwarded > 0);
+        assert!(c.packets_forwarded > 0);
         let line = t.report("test");
         assert!(line.contains("sim-s/wall-s"), "{line}");
         assert!(line.contains("[perf] test:"), "{line}");
@@ -345,5 +252,20 @@ mod tests {
         assert!(json.ends_with('}'), "{json}");
         assert!(json.contains("\"events_popped\":"), "{json}");
         assert!(json.contains("\"sim_secs_per_wall_sec\":"), "{json}");
+    }
+
+    #[test]
+    fn merge_sums_every_counter_but_maxes_the_peak() {
+        let one = incast();
+        let mut other = one;
+        other.counters.peak_pending += 5;
+        let both: Totals = [one, other].into_iter().sum();
+        assert_eq!(both.runs, 2);
+        assert_eq!(both.sim_nanos, 2 * one.sim_nanos);
+        assert_eq!(both.counters.events_popped, 2 * one.counters.events_popped);
+        assert_eq!(both.counters.drops, 2 * one.counters.drops);
+        assert_eq!(both.counters.peak_pending, one.counters.peak_pending + 5);
+        let reversed: Totals = [other, one].into_iter().sum();
+        assert_eq!(both, reversed);
     }
 }

@@ -1,13 +1,20 @@
-//! Scenario builders and runners for the paper's experiment shapes.
+//! Scenario values and runners for the paper's experiment shapes.
+//!
+//! Every FCT experiment is one [`FctScenario`] value — fabric, traffic,
+//! AQM scheme and an optional fault set — run by [`try_run`] under a
+//! [`RunOpts`] (shard count, supervision, livelock drill, subscriber).
+//! The incast microscope ([`run_incast_micro`]) and the DWRR experiment
+//! ([`run_dwrr`]) keep their own runners: they drive the clock in
+//! windows and sample queues, which an FCT run does not.
 
 use crate::scheme::{Scheme, SchemeParams};
 use ecnsharp_aqm::DropTail;
 use ecnsharp_net::topology::{
-    fat_tree, leaf_spine, leaf_spine_with_subscriber, star, star_with_subscriber, LeafSpine, Star,
+    fat_tree_with_subscriber, leaf_spine_with_subscriber, star, star_with_subscriber, Star,
 };
 use ecnsharp_net::{
-    FaultPlan, FlowId, GilbertElliott, Network, NodeId, NoopSubscriber, PortConfig, ShardPlan,
-    ShardSubscriber, SimError, Subscriber, Supervision,
+    FaultPlan, FlowCmd, FlowId, GilbertElliott, Network, NodeId, PerfCounters, PortConfig,
+    PortStats, ShardPlan, ShardSubscriber, SimError, Subscriber, Supervision,
 };
 use ecnsharp_sched::Dwrr;
 use ecnsharp_sim::{Duration, Rate, Rng, SimTime};
@@ -15,7 +22,46 @@ use ecnsharp_stats::{FctBreakdown, QueueSummary};
 use ecnsharp_transport::{TcpConfig, TcpStack};
 use ecnsharp_workload::{IncastSpec, Pattern, PiecewiseCdf, RttVariation, TrafficSpec};
 
-/// Common knobs of an FCT experiment.
+/// The switch fabric an FCT scenario runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fabric {
+    /// The 8-host testbed (§5.2): 7 senders → 1 receiver through one
+    /// switch. Always runs serial: the star has no natural shard cut.
+    Star,
+    /// The §5.3 leaf-spine fabric, every leaf wired to every spine, with
+    /// all-to-all traffic over ECMP. Shards cut per leaf.
+    LeafSpine {
+        /// Spine switches.
+        spines: usize,
+        /// Leaf switches.
+        leaves: usize,
+        /// Hosts under each leaf.
+        hosts_per_leaf: usize,
+    },
+    /// A k-ary fat-tree ([`ecnsharp_net::topology::fat_tree`]) with
+    /// all-to-all traffic — the datacenter-scale shape the sharded engine
+    /// exists for (k=16 is 1024 hosts). Shards cut per pod.
+    FatTree {
+        /// Ports per switch (even).
+        k: usize,
+    },
+}
+
+/// Faults injected into a chaos-sweep run. Fully deterministic per seed:
+/// faults are scheduled through the same event queue as traffic and the
+/// burst-loss process draws from each port's seeded dice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Faults {
+    /// Mean rate of a Gilbert–Elliott burst-loss process (mean burst 8
+    /// packets) on every switch egress; `0.0` injects none.
+    pub mean_loss: f64,
+    /// When set, the fabric's first switch link — leaf0–spine0, edge0–agg0,
+    /// or on the star the switch's link to host 0 — flaps with this period
+    /// (50% duty cycle) for the first 20 ms.
+    pub flap_period: Option<Duration>,
+}
+
+/// One FCT experiment: where it runs, what it carries, which scheme marks.
 #[derive(Debug, Clone)]
 pub struct FctScenario {
     /// RNG seed (workload + network dice).
@@ -31,15 +77,20 @@ pub struct FctScenario {
     pub rtt: RttVariation,
     /// Flow-size distribution.
     pub cdf: PiecewiseCdf,
-    /// Target bottleneck load.
+    /// Target load: of the receiver's link on the star, of every host's
+    /// edge link under the all-to-all traffic of the other fabrics.
     pub load: f64,
     /// Flows to run.
     pub n_flows: usize,
+    /// The fabric the flows cross.
+    pub fabric: Fabric,
+    /// Injected faults, if any.
+    pub faults: Option<Faults>,
 }
 
 impl FctScenario {
-    /// The paper's testbed defaults (§5.2): 10 Gbps, 3× RTT variation,
-    /// web-search traffic, 1 MB port buffers.
+    /// The paper's testbed defaults (§5.2): the 8-host star, 10 Gbps, 3×
+    /// RTT variation, 1 MB port buffers.
     pub fn testbed(
         scheme: Scheme,
         cdf: PiecewiseCdf,
@@ -56,63 +107,315 @@ impl FctScenario {
             cdf,
             load,
             n_flows,
+            fabric: Fabric::Star,
+            faults: None,
+        }
+    }
+
+    /// One point of the chaos sweep: the small leaf-spine fabric (2×2×4,
+    /// simulation RTT variation) under web-search traffic at 50% load,
+    /// with `faults` injected.
+    pub fn chaos(scheme: Scheme, faults: Faults, n_flows: usize, seed: u64) -> Self {
+        FctScenario {
+            rtt: RttVariation::sim_3x(),
+            fabric: Fabric::LeafSpine {
+                spines: 2,
+                leaves: 2,
+                hosts_per_leaf: 4,
+            },
+            faults: Some(faults),
+            ..FctScenario::testbed(
+                scheme,
+                ecnsharp_workload::dists::web_search(),
+                0.5,
+                n_flows,
+                seed,
+            )
         }
     }
 
     fn params(&self) -> SchemeParams {
         SchemeParams::derive(&self.rtt, self.rate)
     }
+
+    /// `(traffic RNG salt, switch-port dice salt)` of each run shape. The
+    /// golden fixtures depend on these values, so they are fixed per
+    /// shape rather than settable.
+    fn salts(&self) -> (u64, u64) {
+        match (self.faults, self.fabric) {
+            (Some(_), _) => (0xC4A05, 0xC4A0),
+            (None, Fabric::Star) => (0x5EED, 0xEC0),
+            (None, Fabric::LeafSpine { .. }) => (0x1EAF, 0xEC1),
+            (None, Fabric::FatTree { .. }) => (0xFA77, 0xFA7),
+        }
+    }
+
+    /// Build the scenario's network with `sub` attached: the fabric, its
+    /// fault plan and every flow, ready to run. `shards` is clamped to the
+    /// fabric's natural ceiling (leaf count, pod count; 1 on the star), so
+    /// `ECNSHARP_SHARDS=8` works across a sweep of differently-sized
+    /// fabrics; 0/1 means serial. [`try_run`] runs what this builds.
+    pub fn build<S: Subscriber>(&self, shards: u32, sub: S) -> Built<S> {
+        let (traffic_salt, port_salt) = self.salts();
+        let params = self.params();
+        let (scheme, buffer, faults) = (self.scheme.clone(), self.buffer, self.faults);
+        let switch_port = move || {
+            let mut p = params.port(&scheme, buffer, port_salt);
+            if let Some(f) = faults.filter(|f| f.mean_loss > 0.0) {
+                p = p.with_ge(GilbertElliott::from_mean_loss(f.mean_loss, 8.0));
+            }
+            p
+        };
+        let agent = |_| TcpStack::boxed(endpoint_tcp());
+        // Propagation legs per RTT: host→switch→host is 4 on the star, 8
+        // through a spine, 12 through a fat-tree core.
+        let delay = |legs: u64| Duration::from_nanos(self.rtt.min().as_nanos() / legs);
+        let clamp = |max: usize| shards.clamp(1, (max as u32).max(1));
+        let (mut net, pattern, flap_link, plan, bottleneck) = match self.fabric {
+            Fabric::Star => {
+                let t = star_with_subscriber(
+                    self.seed,
+                    8,
+                    self.rate,
+                    delay(4),
+                    agent,
+                    nic_port,
+                    switch_port,
+                    sub,
+                );
+                let receiver = t.hosts[7];
+                let port = t
+                    .net
+                    .port_towards(t.switch, receiver)
+                    .expect("receiver port");
+                let senders = t.hosts[..7].to_vec();
+                let pattern = Pattern::ManyToOne { senders, receiver };
+                (
+                    t.net,
+                    pattern,
+                    (t.switch, t.hosts[0]),
+                    None,
+                    Some((t.switch, port)),
+                )
+            }
+            Fabric::LeafSpine {
+                spines,
+                leaves,
+                hosts_per_leaf,
+            } => {
+                let t = leaf_spine_with_subscriber(
+                    self.seed,
+                    spines,
+                    leaves,
+                    hosts_per_leaf,
+                    self.rate,
+                    self.rate,
+                    delay(8),
+                    agent,
+                    nic_port,
+                    switch_port,
+                    sub,
+                );
+                let n = clamp(leaves);
+                let plan = (n >= 2).then(|| t.shard_plan(n));
+                let pattern = Pattern::AllToAll {
+                    hosts: t.hosts.clone(),
+                };
+                (t.net, pattern, (t.leaves[0], t.spines[0]), plan, None)
+            }
+            Fabric::FatTree { k } => {
+                let t = fat_tree_with_subscriber(
+                    self.seed,
+                    k,
+                    self.rate,
+                    self.rate,
+                    delay(12),
+                    agent,
+                    nic_port,
+                    switch_port,
+                    sub,
+                );
+                let n = clamp(k);
+                let plan = (n >= 2).then(|| t.shard_plan(n));
+                let pattern = Pattern::AllToAll {
+                    hosts: t.hosts.clone(),
+                };
+                (t.net, pattern, (t.edges[0], t.aggs[0]), plan, None)
+            }
+        };
+        if let Some(period) = self.faults.and_then(|f| f.flap_period) {
+            let (a, b) = flap_link;
+            net.install_fault_plan(FaultPlan::new().flap(
+                a,
+                b,
+                SimTime::from_micros(50),
+                period,
+                period / 2,
+                SimTime::from_millis(20),
+            ));
+        }
+        let spec = TrafficSpec {
+            cdf: self.cdf.clone(),
+            load: self.load,
+            bottleneck: self.rate,
+            pattern,
+            rtt: self.rtt,
+            class: 0,
+            start: SimTime::ZERO,
+        };
+        let mut rng = Rng::seed_from_u64(self.seed ^ traffic_salt);
+        let flows = match &spec.pattern {
+            Pattern::AllToAll { hosts } => all_to_all(&spec, hosts.len(), self.n_flows, &mut rng),
+            _ => spec.generate(self.n_flows, 1, &mut rng),
+        };
+        for (at, cmd) in flows {
+            net.schedule_flow(at, cmd);
+        }
+        Built {
+            net,
+            plan,
+            bottleneck,
+        }
+    }
+}
+
+/// All-to-all arrivals: the load is per edge link, and every host sources
+/// flows at `load` of its uplink, so the aggregate Poisson process runs at
+/// `n_hosts` × the single-link rate. Flow ids are `1..=n_flows`.
+fn all_to_all(
+    spec: &TrafficSpec,
+    n_hosts: usize,
+    n_flows: usize,
+    rng: &mut Rng,
+) -> Vec<(SimTime, FlowCmd)> {
+    let mean_gap = spec.mean_interarrival() / n_hosts as u64;
+    let mut t = SimTime::ZERO;
+    (0..n_flows)
+        .map(|k| {
+            t += rng.exp_duration(mean_gap);
+            let (_, mut cmd) = spec.generate(1, 1 + k as u64, rng).pop().expect("one");
+            cmd.flow = FlowId(1 + k as u64);
+            (t, cmd)
+        })
+        .collect()
+}
+
+/// A scenario's network, built and loaded with its flows (see
+/// [`FctScenario::build`]).
+pub struct Built<S: Subscriber> {
+    /// The network, flows and faults scheduled.
+    pub net: Network<S>,
+    /// The shard plan after clamping; `None` runs serial.
+    pub plan: Option<ShardPlan>,
+    /// Star only: the switch and its port towards the receiver.
+    pub bottleneck: Option<(NodeId, usize)>,
+}
+
+/// How to run a scenario: shard count, supervision, the livelock drill
+/// and the telemetry subscriber.
+///
+/// [`RunOpts::serial`] accepts any [`Subscriber`]; [`RunOpts::sharded`]
+/// forks the subscriber per shard and merges deterministically, so it
+/// requires [`ShardSubscriber`] — order-sensitive sinks are rejected at
+/// compile time rather than silently reordered.
+pub struct RunOpts<S: Subscriber> {
+    shards: u32,
+    drive: fn(&mut Network<S>, Option<&ShardPlan>) -> Result<SimTime, SimError>,
+    sub: S,
+    /// Watchdogs and memory guards (disarmed by default). A tripped guard
+    /// comes back as a structured [`SimError`] instead of a panic or
+    /// hang; armed but untriggered, the run is byte-identical to a
+    /// disarmed one (the supervision suite pins this).
+    pub supervision: Supervision,
+    /// Schedule a self-rescheduling zero-delay drill event early in the
+    /// run so the progress guard must trip — the `ECNSHARP_INJECT_LIVELOCK`
+    /// drill leg. Only with the guard armed.
+    pub inject_livelock: bool,
+}
+
+impl<S: Subscriber> RunOpts<S> {
+    /// Run on the serial event loop with `sub` attached.
+    pub fn serial(sub: S) -> Self {
+        RunOpts {
+            shards: 1,
+            drive: |net, _| net.try_run_until_idle(),
+            supervision: Supervision::default(),
+            inject_livelock: false,
+            sub,
+        }
+    }
+}
+
+impl<S: ShardSubscriber> RunOpts<S> {
+    /// Run on the conservative-PDES engine over up to `shards` shards
+    /// (clamped per fabric; 0/1 means serial). Byte-identical to the
+    /// serial loop — the shard-equivalence suite pins it — so callers
+    /// treat the count purely as a wall-clock knob.
+    pub fn sharded(sub: S, shards: u32) -> Self {
+        RunOpts {
+            shards,
+            drive: |net, plan| match plan {
+                Some(p) => net.try_run_sharded_until_idle(p),
+                None => net.try_run_until_idle(),
+            },
+            ..RunOpts::serial(sub)
+        }
+    }
+}
+
+impl Default for RunOpts<ecnsharp_net::NoopSubscriber> {
+    /// Serial, disarmed, no subscriber.
+    fn default() -> Self {
+        RunOpts::serial(ecnsharp_net::NoopSubscriber)
+    }
+}
+
+/// What one FCT run produced.
+#[derive(Debug)]
+pub struct FctRun<S> {
+    /// FCT breakdown (failed flows counted, excluded from timings).
+    pub fct: FctBreakdown,
+    /// Star only: the bottleneck port's drop/mark statistics.
+    pub bottleneck: Option<PortStats>,
+    /// The run's engine counters (`events_*`, `timers_*` and
+    /// `peak_pending` can differ between serial and sharded runs; see
+    /// [`Network::perf`]).
+    pub perf: PerfCounters,
+    /// Simulated time at which the run went idle.
+    pub end: SimTime,
+    /// The subscriber, handed back after the run.
+    pub subscriber: S,
+}
+
+/// Run `sc` to completion under `opts` — the one entry point of every FCT
+/// experiment (Figs. 2–3 and 6–9, and the chaos sweep).
+///
+/// A tripped guard returns its [`SimError`]; with supervision disarmed
+/// the only possible error is a worker panic on the sharded engine.
+pub fn try_run<S: Subscriber>(sc: &FctScenario, opts: RunOpts<S>) -> Result<FctRun<S>, SimError> {
+    let Built {
+        mut net,
+        plan,
+        bottleneck,
+    } = sc.build(opts.shards, opts.sub);
+    net.set_supervision(opts.supervision);
+    if opts.inject_livelock {
+        net.inject_livelock_at(SimTime::from_micros(10));
+    }
+    (opts.drive)(&mut net, plan.as_ref())?;
+    Ok(FctRun {
+        fct: FctBreakdown::from_records(net.records()),
+        bottleneck: bottleneck.map(|(node, port)| net.port_stats(node, port)),
+        perf: net.perf(),
+        end: net.now(),
+        subscriber: net.into_subscriber(),
+    })
 }
 
 /// Host NIC ports: deep FIFO, no AQM (the queueing under study happens at
 /// the switch).
 fn nic_port() -> PortConfig {
     PortConfig::fifo(4_000_000, Box::new(DropTail::new()))
-}
-
-/// Run `net` to completion, serial (`plan` = `None`) or on the
-/// conservative-PDES engine ([`Network::run_sharded_until_idle`]).
-///
-/// The shard-equivalence suite pins that both paths produce
-/// byte-identical figures, so callers treat the choice purely as a
-/// wall-clock knob.
-fn run_to_idle<S: ShardSubscriber>(net: &mut Network<S>, plan: Option<&ShardPlan>) {
-    match plan {
-        Some(p) => {
-            net.run_sharded_until_idle(p);
-        }
-        None => {
-            net.run_until_idle();
-        }
-    }
-}
-
-/// [`run_to_idle`] through the fallible supervision entry points: a
-/// tripped watchdog or memory guard returns the structured
-/// [`SimError`] instead of panicking. With supervision disarmed the
-/// two are behaviourally identical.
-fn try_run_to_idle<S: ShardSubscriber>(
-    net: &mut Network<S>,
-    plan: Option<&ShardPlan>,
-) -> Result<(), SimError> {
-    match plan {
-        Some(p) => net.try_run_sharded_until_idle(p).map(|_| ()),
-        None => net.try_run_until_idle().map(|_| ()),
-    }
-}
-
-/// Clamp a requested shard count to a topology's natural ceiling (leaf
-/// count, pod count). Requests above it are clamped rather than rejected
-/// so `ECNSHARP_SHARDS=8` works across a sweep of differently-sized
-/// fabrics; 0/1 means serial.
-fn effective_shards(requested: u32, max_shards: usize) -> u32 {
-    requested.clamp(1, (max_shards as u32).max(1))
-}
-
-/// The `ECNSHARP_SHARDS` knob (strict; see [`crate::env::shards`]),
-/// unwrapped for scenario use.
-fn env_shards() -> u32 {
-    crate::env::or_exit(crate::env::shards())
 }
 
 /// Endpoint transport used by every scenario. `ECNSHARP_DELACK` overrides
@@ -132,411 +435,6 @@ fn endpoint_tcp() -> TcpConfig {
     cfg
 }
 
-/// Run the 8-host testbed (7 senders → 1 receiver, §5.2). Returns the FCT
-/// breakdown plus the bottleneck port's drop/mark stats.
-pub fn run_testbed_star(sc: &FctScenario) -> (FctBreakdown, ecnsharp_net::PortStats) {
-    let (fct, stats, _) = run_testbed_star_with_subscriber(sc, NoopSubscriber);
-    (fct, stats)
-}
-
-/// [`run_testbed_star`] with a telemetry subscriber attached for the whole
-/// run; returns it (consumed and handed back) alongside the results.
-pub fn run_testbed_star_with_subscriber<S: Subscriber>(
-    sc: &FctScenario,
-    sub: S,
-) -> (FctBreakdown, ecnsharp_net::PortStats, S) {
-    let n_hosts = 8;
-    let params = sc.params();
-    // The star realizes the minimum base RTT: host→switch→host traverses
-    // two links each way ⇒ 4 propagation legs per RTT.
-    let link_delay = Duration::from_nanos(sc.rtt.min().as_nanos() / 4);
-    let scheme = sc.scheme.clone();
-    let buffer = sc.buffer;
-    let mut topo = star_with_subscriber(
-        sc.seed,
-        n_hosts,
-        sc.rate,
-        link_delay,
-        |_| TcpStack::boxed(endpoint_tcp()),
-        nic_port,
-        || params.port(&scheme, buffer, 0xEC0),
-        sub,
-    );
-    let receiver = topo.hosts[n_hosts - 1];
-    let senders: Vec<NodeId> = topo.hosts[..n_hosts - 1].to_vec();
-    let spec = TrafficSpec {
-        cdf: sc.cdf.clone(),
-        load: sc.load,
-        bottleneck: sc.rate,
-        pattern: Pattern::ManyToOne { senders, receiver },
-        rtt: sc.rtt,
-        class: 0,
-        start: SimTime::ZERO,
-    };
-    let mut rng = Rng::seed_from_u64(sc.seed ^ 0x5EED);
-    for (at, cmd) in spec.generate(sc.n_flows, 1, &mut rng) {
-        topo.net.schedule_flow(at, cmd);
-    }
-    topo.net.run_until_idle();
-    let bport = topo
-        .net
-        .port_towards(topo.switch, receiver)
-        .expect("receiver port");
-    let stats = topo.net.port_stats(topo.switch, bport);
-    crate::perf::absorb(&topo.net);
-    let fct = FctBreakdown::from_records(topo.net.records());
-    (fct, stats, topo.net.into_subscriber())
-}
-
-/// Run the §5.3 leaf-spine fabric (all-to-all traffic, ECMP). Scaled by
-/// `hosts_per_leaf`/`n_leaves`/`n_spines` so tests can shrink it.
-///
-/// Honors `ECNSHARP_SHARDS`: with `n ≥ 2` the fabric is partitioned per
-/// leaf and run on the sharded engine, byte-identically (see
-/// CONCURRENCY.md).
-pub fn run_leaf_spine(
-    sc: &FctScenario,
-    n_spines: usize,
-    n_leaves: usize,
-    hosts_per_leaf: usize,
-) -> FctBreakdown {
-    run_leaf_spine_sharded(sc, n_spines, n_leaves, hosts_per_leaf, env_shards())
-}
-
-/// [`run_leaf_spine`] with an explicit shard count instead of the
-/// `ECNSHARP_SHARDS` knob (1 = serial). The shard-equivalence suite uses
-/// this to pin sharded and serial outputs against each other in one
-/// process.
-pub fn run_leaf_spine_sharded(
-    sc: &FctScenario,
-    n_spines: usize,
-    n_leaves: usize,
-    hosts_per_leaf: usize,
-    shards: u32,
-) -> FctBreakdown {
-    let (fct, _) = run_leaf_spine_inner(
-        sc,
-        n_spines,
-        n_leaves,
-        hosts_per_leaf,
-        shards,
-        NoopSubscriber,
-    );
-    fct
-}
-
-/// [`run_leaf_spine`] with a telemetry subscriber attached for the whole
-/// run; returns it alongside the FCT breakdown. Sharded runs fork the
-/// subscriber per shard and merge deterministically, so the bound is
-/// [`ShardSubscriber`] — order-sensitive sinks are rejected at compile
-/// time rather than silently reordered.
-pub fn run_leaf_spine_with_subscriber<S: ShardSubscriber>(
-    sc: &FctScenario,
-    n_spines: usize,
-    n_leaves: usize,
-    hosts_per_leaf: usize,
-    sub: S,
-) -> (FctBreakdown, S) {
-    run_leaf_spine_inner(sc, n_spines, n_leaves, hosts_per_leaf, env_shards(), sub)
-}
-
-fn run_leaf_spine_inner<S: ShardSubscriber>(
-    sc: &FctScenario,
-    n_spines: usize,
-    n_leaves: usize,
-    hosts_per_leaf: usize,
-    shards: u32,
-    sub: S,
-) -> (FctBreakdown, S) {
-    let params = sc.params();
-    // host→leaf→spine→leaf→host: 8 propagation legs per RTT.
-    let link_delay = Duration::from_nanos(sc.rtt.min().as_nanos() / 8);
-    let scheme = sc.scheme.clone();
-    let buffer = sc.buffer;
-    let mut topo = leaf_spine_with_subscriber(
-        sc.seed,
-        n_spines,
-        n_leaves,
-        hosts_per_leaf,
-        sc.rate,
-        sc.rate,
-        link_delay,
-        |_| TcpStack::boxed(endpoint_tcp()),
-        nic_port,
-        || params.port(&scheme, buffer, 0xEC1),
-        sub,
-    );
-    let spec = TrafficSpec {
-        cdf: sc.cdf.clone(),
-        load: sc.load,
-        bottleneck: sc.rate,
-        pattern: Pattern::AllToAll {
-            hosts: topo.hosts.clone(),
-        },
-        rtt: sc.rtt,
-        class: 0,
-        start: SimTime::ZERO,
-    };
-    // Load is per edge link; with all-to-all each host sources flows at
-    // `load` of its uplink, so the aggregate generator runs at
-    // n_hosts × the single-link rate.
-    let n_hosts = topo.hosts.len();
-    let mut rng = Rng::seed_from_u64(sc.seed ^ 0x1EAF);
-    let mean_gap = spec.mean_interarrival() / n_hosts as u64;
-    let mut t = SimTime::ZERO;
-    let mut flows = Vec::with_capacity(sc.n_flows);
-    for k in 0..sc.n_flows {
-        t += rng.exp_duration(mean_gap);
-        let mut cmds = spec.generate(1, 1 + k as u64, &mut rng);
-        let (_, mut cmd) = cmds.pop().expect("one");
-        cmd.flow = FlowId(1 + k as u64);
-        flows.push((t, cmd));
-    }
-    for (at, cmd) in flows {
-        topo.net.schedule_flow(at, cmd);
-    }
-    let n = effective_shards(shards, n_leaves);
-    let plan = (n >= 2).then(|| topo.shard_plan(n));
-    run_to_idle(&mut topo.net, plan.as_ref());
-    crate::perf::absorb(&topo.net);
-    let fct = FctBreakdown::from_records(topo.net.records());
-    (fct, topo.net.into_subscriber())
-}
-
-/// Run an all-to-all workload on a k-ary fat-tree
-/// ([`ecnsharp_net::topology::fat_tree`]) — the datacenter-scale shape the
-/// sharded engine exists for (k=16 is 1024 hosts). Honors
-/// `ECNSHARP_SHARDS` with a per-pod cut (ceiling `k`).
-pub fn run_fat_tree(sc: &FctScenario, k: usize) -> FctBreakdown {
-    run_fat_tree_sharded(sc, k, env_shards())
-}
-
-/// [`run_fat_tree`] with an explicit shard count instead of the
-/// `ECNSHARP_SHARDS` knob (1 = serial).
-pub fn run_fat_tree_sharded(sc: &FctScenario, k: usize, shards: u32) -> FctBreakdown {
-    let params = sc.params();
-    // host→edge→agg→core→agg→edge→host: 12 propagation legs per RTT.
-    let link_delay = Duration::from_nanos(sc.rtt.min().as_nanos() / 12);
-    let scheme = sc.scheme.clone();
-    let buffer = sc.buffer;
-    let mut topo = fat_tree(
-        sc.seed,
-        k,
-        sc.rate,
-        sc.rate,
-        link_delay,
-        |_| TcpStack::boxed(endpoint_tcp()),
-        nic_port,
-        || params.port(&scheme, buffer, 0xFA7),
-    );
-    let spec = TrafficSpec {
-        cdf: sc.cdf.clone(),
-        load: sc.load,
-        bottleneck: sc.rate,
-        pattern: Pattern::AllToAll {
-            hosts: topo.hosts.clone(),
-        },
-        rtt: sc.rtt,
-        class: 0,
-        start: SimTime::ZERO,
-    };
-    // As in the leaf-spine runner: per-edge-link load, aggregated over all
-    // hosts sourcing flows.
-    let n_hosts = topo.hosts.len();
-    let mut rng = Rng::seed_from_u64(sc.seed ^ 0xFA77);
-    let mean_gap = spec.mean_interarrival() / n_hosts as u64;
-    let mut t = SimTime::ZERO;
-    let mut flows = Vec::with_capacity(sc.n_flows);
-    for idx in 0..sc.n_flows {
-        t += rng.exp_duration(mean_gap);
-        let mut cmds = spec.generate(1, 1 + idx as u64, &mut rng);
-        let (_, mut cmd) = cmds.pop().expect("one");
-        cmd.flow = FlowId(1 + idx as u64);
-        flows.push((t, cmd));
-    }
-    for (at, cmd) in flows {
-        topo.net.schedule_flow(at, cmd);
-    }
-    let n = effective_shards(shards, k);
-    let plan = (n >= 2).then(|| topo.shard_plan(n));
-    run_to_idle(&mut topo.net, plan.as_ref());
-    crate::perf::absorb(&topo.net);
-    FctBreakdown::from_records(topo.net.records())
-}
-
-/// Result of one chaos-sweep point: FCT over the flows that completed,
-/// plus the full fault-accounting ledger for the run.
-#[derive(Debug, Clone)]
-pub struct ChaosResult {
-    /// FCT breakdown (failed flows counted, excluded from timings).
-    pub fct: FctBreakdown,
-    /// Flows that completed.
-    pub completed: u64,
-    /// Flows that aborted after `max_rto_retries` consecutive timeouts.
-    pub failed: u64,
-    /// CE marks applied across the fabric.
-    pub ce_marks: u64,
-    /// Independent-fault wire drops.
-    pub fault_drops: u64,
-    /// Corruption (checksum-fail) wire drops.
-    pub corrupt_drops: u64,
-    /// Gilbert–Elliott burst-loss wire drops.
-    pub burst_drops: u64,
-    /// Switch discards for destinations with no up link.
-    pub no_route_drops: u64,
-    /// Retransmission timeouts across all flows.
-    pub timeouts: u64,
-}
-
-/// One point of the chaos sweep: the small leaf-spine fabric (2×2×4)
-/// under web-search traffic at 50% load, with a Gilbert–Elliott burst-loss
-/// process of mean rate `mean_loss` (mean burst 8 packets) on every switch
-/// egress and, when `flap_period` is set, a leaf0–spine0 link flapping
-/// with that period (50% duty cycle) for the first 20 ms. Fully
-/// deterministic per `seed`: faults are scheduled through the same event
-/// queue as traffic and the GE process draws from the port's seeded dice.
-pub fn run_chaos_leaf_spine(
-    scheme: Scheme,
-    mean_loss: f64,
-    flap_period: Option<Duration>,
-    n_flows: usize,
-    seed: u64,
-) -> ChaosResult {
-    run_chaos_leaf_spine_sharded(scheme, mean_loss, flap_period, n_flows, seed, env_shards())
-}
-
-/// [`run_chaos_leaf_spine`] with an explicit shard count instead of the
-/// `ECNSHARP_SHARDS` knob (1 = serial). Fault application — flaps, GE
-/// loss, route rebuilds — crosses shard boundaries, so the equivalence
-/// suite leans on this variant to prove chaos outputs stay byte-identical.
-pub fn run_chaos_leaf_spine_sharded(
-    scheme: Scheme,
-    mean_loss: f64,
-    flap_period: Option<Duration>,
-    n_flows: usize,
-    seed: u64,
-    shards: u32,
-) -> ChaosResult {
-    match try_run_chaos_leaf_spine_sharded(
-        scheme,
-        mean_loss,
-        flap_period,
-        n_flows,
-        seed,
-        shards,
-        Supervision::default(),
-        false,
-    ) {
-        Ok(r) => r,
-        // Supervision is disarmed here, so the only possible error is a
-        // worker panic — rethrow it like the infallible engine APIs do.
-        Err(e) => panic!("run_chaos_leaf_spine_sharded: {e}"),
-    }
-}
-
-/// [`run_chaos_leaf_spine_sharded`] under run supervision: `sup` arms the
-/// engine's watchdogs and memory guards, and a tripped guard comes back
-/// as a structured [`SimError`] instead of a panic or hang. With all
-/// budgets armed but untriggered the result is byte-identical to the
-/// infallible path (the supervision suite pins this). `inject_livelock`
-/// schedules a self-rescheduling zero-delay drill event early in the run
-/// so the `ProgressGuard` must trip — the `ECNSHARP_INJECT_LIVELOCK`
-/// drill leg.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_chaos_leaf_spine_sharded(
-    scheme: Scheme,
-    mean_loss: f64,
-    flap_period: Option<Duration>,
-    n_flows: usize,
-    seed: u64,
-    shards: u32,
-    sup: Supervision,
-    inject_livelock: bool,
-) -> Result<ChaosResult, SimError> {
-    let rate = Rate::from_gbps(10);
-    let rtt = RttVariation::sim_3x();
-    let params = SchemeParams::derive(&rtt, rate);
-    let buffer = 1_000_000;
-    let link_delay = Duration::from_nanos(rtt.min().as_nanos() / 8);
-    let scheme2 = scheme.clone();
-    let mut topo: LeafSpine = leaf_spine(
-        seed,
-        2,
-        2,
-        4,
-        rate,
-        rate,
-        link_delay,
-        |_| TcpStack::boxed(endpoint_tcp()),
-        nic_port,
-        move || {
-            let mut p = params.port(&scheme2, buffer, 0xC4A0);
-            if mean_loss > 0.0 {
-                p = p.with_ge(GilbertElliott::from_mean_loss(mean_loss, 8.0));
-            }
-            p
-        },
-    );
-    if let Some(period) = flap_period {
-        let plan = FaultPlan::new().flap(
-            topo.leaves[0],
-            topo.spines[0],
-            SimTime::from_micros(50),
-            period,
-            period / 2,
-            SimTime::from_millis(20),
-        );
-        topo.net.install_fault_plan(plan);
-    }
-    let spec = TrafficSpec {
-        cdf: ecnsharp_workload::dists::web_search(),
-        load: 0.5,
-        bottleneck: rate,
-        pattern: Pattern::AllToAll {
-            hosts: topo.hosts.clone(),
-        },
-        rtt,
-        class: 0,
-        start: SimTime::ZERO,
-    };
-    let n_hosts = topo.hosts.len();
-    let mut rng = Rng::seed_from_u64(seed ^ 0xC4A05);
-    let mean_gap = spec.mean_interarrival() / n_hosts as u64;
-    let mut t = SimTime::ZERO;
-    let mut flows = Vec::with_capacity(n_flows);
-    for k in 0..n_flows {
-        t += rng.exp_duration(mean_gap);
-        let mut cmds = spec.generate(1, 1 + k as u64, &mut rng);
-        let (_, mut cmd) = cmds.pop().expect("one");
-        cmd.flow = FlowId(1 + k as u64);
-        flows.push((t, cmd));
-    }
-    for (at, cmd) in flows {
-        topo.net.schedule_flow(at, cmd);
-    }
-    topo.net.set_supervision(sup);
-    if inject_livelock {
-        topo.net.inject_livelock_at(SimTime::from_micros(10));
-    }
-    let n = effective_shards(shards, topo.leaves.len());
-    let plan = (n >= 2).then(|| topo.shard_plan(n));
-    try_run_to_idle(&mut topo.net, plan.as_ref())?;
-    let perf = topo.net.perf();
-    let fct = FctBreakdown::from_records(topo.net.records());
-    crate::perf::absorb(&topo.net);
-    Ok(ChaosResult {
-        completed: (topo.net.records().len() as u64) - fct.failed,
-        failed: fct.failed,
-        timeouts: fct.timeouts,
-        ce_marks: perf.ce_marks,
-        fault_drops: perf.fault_drops,
-        corrupt_drops: perf.corrupt_drops,
-        burst_drops: perf.burst_drops,
-        no_route_drops: perf.no_route_drops,
-        fct,
-    })
-}
-
 /// Result of the §5.4 incast microscope.
 #[derive(Debug, Clone)]
 pub struct IncastResult {
@@ -554,6 +452,10 @@ pub struct IncastResult {
     /// the level Fig. 10's flat segments show (paper: ~182 pkts for
     /// RED-Tail vs ~8 for ECN#).
     pub standing_pkts: f64,
+    /// The run's engine counters.
+    pub perf: PerfCounters,
+    /// Simulated time at which the run stopped.
+    pub end: SimTime,
 }
 
 /// When the microscope's events happen.
@@ -578,28 +480,11 @@ impl IncastTimeline {
     }
 }
 
-/// The §5.4 microscope with the paper's timeline (see
-/// [`run_incast_micro_with`]).
-pub fn run_incast_micro(scheme: Scheme, fanout: usize, seed: u64) -> IncastResult {
-    run_incast_micro_with(scheme, fanout, seed, IncastTimeline::Paper)
-}
-
 /// The §5.4 microscope: 16 senders → 1 receiver, 2 long-lived small-RTT
 /// background flows plus data-mining short flows, and an `fanout`-wide
 /// query burst. The queue is sampled for 5 ms before and after the burst.
-pub fn run_incast_micro_with(
-    scheme: Scheme,
-    fanout: usize,
-    seed: u64,
-    timeline: IncastTimeline,
-) -> IncastResult {
-    let (r, _) = run_incast_micro_with_subscriber(scheme, fanout, seed, timeline, NoopSubscriber);
-    r
-}
-
-/// [`run_incast_micro_with`] with a telemetry subscriber attached for the
-/// whole run; returns it alongside the result.
-pub fn run_incast_micro_with_subscriber<S: Subscriber>(
+/// `sub` is attached for the whole run and handed back with the result.
+pub fn run_incast_micro<S: Subscriber>(
     scheme: Scheme,
     fanout: usize,
     seed: u64,
@@ -634,7 +519,7 @@ pub fn run_incast_micro_with_subscriber<S: Subscriber>(
     for (i, &s) in senders.iter().take(2).enumerate() {
         topo.net.schedule_flow(
             SimTime::from_millis(long_ms),
-            ecnsharp_net::FlowCmd {
+            FlowCmd {
                 flow: FlowId(900_000 + i as u64),
                 src: s,
                 dst: receiver,
@@ -698,7 +583,6 @@ pub fn run_incast_micro_with_subscriber<S: Subscriber>(
         .map(|&(_, _, p)| p as f64)
         .collect();
     let standing_pkts = pre.iter().sum::<f64>() / pre.len().max(1) as f64;
-    crate::perf::absorb(&topo.net);
     let result = IncastResult {
         standing_pkts,
         queue: QueueSummary::from_monitor(monitor),
@@ -706,6 +590,8 @@ pub fn run_incast_micro_with_subscriber<S: Subscriber>(
         query_fct: FctBreakdown::from_records(&query),
         drops: topo.net.port_stats(topo.switch, bport).total_drops(),
         query_timeouts: query.iter().map(|r| r.timeouts as u64).sum(),
+        perf: topo.net.perf(),
+        end: topo.net.now(),
     };
     (result, topo.net.into_subscriber())
 }
@@ -719,6 +605,10 @@ pub struct DwrrResult {
     pub checkpoints: Vec<SimTime>,
     /// Short-probe FCT breakdown.
     pub probe_fct: FctBreakdown,
+    /// The run's engine counters.
+    pub perf: PerfCounters,
+    /// Simulated time at which the run stopped.
+    pub end: SimTime,
 }
 
 /// The Fig. 13 experiment: DWRR with weights 2:1:1 over three service
@@ -751,7 +641,7 @@ pub fn run_dwrr(scheme: Scheme, seed: u64) -> DwrrResult {
     for (i, (&s, start_ms)) in topo.hosts[..3].iter().zip([0u64, 500, 1_000]).enumerate() {
         topo.net.schedule_flow(
             SimTime::from_millis(start_ms),
-            ecnsharp_net::FlowCmd {
+            FlowCmd {
                 flow: FlowId(500_000 + i as u64),
                 src: s,
                 dst: receiver,
@@ -771,7 +661,7 @@ pub fn run_dwrr(scheme: Scheme, seed: u64) -> DwrrResult {
         let src = topo.hosts[3 + (n_probes % 2) as usize];
         topo.net.schedule_flow(
             t,
-            ecnsharp_net::FlowCmd {
+            FlowCmd {
                 flow: FlowId(first_probe + n_probes),
                 src,
                 dst: receiver,
@@ -812,154 +702,125 @@ pub fn run_dwrr(scheme: Scheme, seed: u64) -> DwrrResult {
         .cloned()
         .collect();
     assert!(!probes.is_empty(), "no probes completed");
-    crate::perf::absorb(&topo.net);
     DwrrResult {
         goodput,
         checkpoints,
         probe_fct: FctBreakdown::from_records(&probes),
+        perf: topo.net.perf(),
+        end: topo.net.now(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecnsharp_net::NoopSubscriber;
     use ecnsharp_workload::dists;
+
+    fn run(sc: &FctScenario, shards: u32) -> FctRun<NoopSubscriber> {
+        try_run(sc, RunOpts::sharded(NoopSubscriber, shards)).expect("disarmed run")
+    }
 
     #[test]
     fn testbed_star_smoke() {
         let sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.5, 60, 1);
-        let (fct, stats) = run_testbed_star(&sc);
-        assert_eq!(fct.overall.count, 60);
-        assert!(stats.enqueued > 0);
-        assert!(fct.overall.avg > 0.0);
+        let r = run(&sc, 1);
+        assert_eq!(r.fct.overall.count, 60);
+        assert!(r.bottleneck.expect("star bottleneck").enqueued > 0);
+        assert!(r.fct.overall.avg > 0.0);
+        assert!(r.perf.events_popped > 0);
+        assert!(r.end > SimTime::ZERO);
     }
 
     #[test]
     fn leaf_spine_smoke() {
-        let sc = FctScenario::testbed(Scheme::DctcpRedTail, dists::web_search(), 0.3, 40, 2);
-        let fct = run_leaf_spine(&sc, 2, 2, 4);
-        assert_eq!(fct.overall.count, 40);
+        let mut sc = FctScenario::testbed(Scheme::DctcpRedTail, dists::web_search(), 0.3, 40, 2);
+        sc.fabric = Fabric::LeafSpine {
+            spines: 2,
+            leaves: 2,
+            hosts_per_leaf: 4,
+        };
+        let r = run(&sc, 1);
+        assert_eq!(r.fct.overall.count, 40);
+        assert!(r.bottleneck.is_none(), "only the star has one bottleneck");
     }
 
     #[test]
     fn leaf_spine_sharded_matches_serial() {
-        let sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.3, 30, 5);
-        let serial = run_leaf_spine_sharded(&sc, 2, 2, 4, 1);
-        let sharded = run_leaf_spine_sharded(&sc, 2, 2, 4, 2);
-        assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
-    }
-
-    fn tmp_run_ft_records(shards: u32) -> (u64, Vec<String>) {
-        let sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.2, 30, 6);
-        let params = sc.params();
-        let link_delay = Duration::from_nanos(sc.rtt.min().as_nanos() / 12);
-        let scheme = sc.scheme.clone();
-        let buffer = sc.buffer;
-        let mut topo = fat_tree(
-            sc.seed,
-            4,
-            sc.rate,
-            sc.rate,
-            link_delay,
-            |_| TcpStack::boxed(endpoint_tcp()),
-            nic_port,
-            || params.port(&scheme, buffer, 0xFA7),
-        );
-        let spec = TrafficSpec {
-            cdf: sc.cdf.clone(),
-            load: sc.load,
-            bottleneck: sc.rate,
-            pattern: Pattern::AllToAll {
-                hosts: topo.hosts.clone(),
-            },
-            rtt: sc.rtt,
-            class: 0,
-            start: SimTime::ZERO,
+        let mut sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.3, 30, 5);
+        sc.fabric = Fabric::LeafSpine {
+            spines: 2,
+            leaves: 2,
+            hosts_per_leaf: 4,
         };
-        let n_hosts = topo.hosts.len();
-        let mut rng = Rng::seed_from_u64(sc.seed ^ 0xFA77);
-        let mean_gap = spec.mean_interarrival() / n_hosts as u64;
-        let mut t = SimTime::ZERO;
-        for idx in 0..sc.n_flows {
-            t += rng.exp_duration(mean_gap);
-            let mut cmds = spec.generate(1, 1 + idx as u64, &mut rng);
-            let (_, mut cmd) = cmds.pop().expect("one");
-            cmd.flow = FlowId(1 + idx as u64);
-            topo.net.schedule_flow(t, cmd);
-        }
-        let plan = (shards >= 2).then(|| topo.shard_plan(shards));
-        run_to_idle(&mut topo.net, plan.as_ref());
-        let mut out: Vec<String> = topo
-            .net
-            .records()
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
-        for node in 0..topo.net.node_count() {
-            let n = NodeId(node);
-            for port in 0..topo.net.port_count(n) {
-                out.push(format!(
-                    "port {node}.{port} {:?}",
-                    topo.net.port_stats(n, port)
-                ));
-            }
-        }
-        (topo.net.steps(), out)
-    }
-
-    #[test]
-    fn tmp_bisect_ls4() {
-        let sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.2, 30, 6);
-        let a = format!("{:?}", run_leaf_spine_sharded(&sc, 4, 4, 4, 1));
-        let b = format!("{:?}", run_leaf_spine_sharded(&sc, 4, 4, 4, 4));
-        assert_eq!(a, b, "ls 4x4x4 4 shards");
-    }
-
-    #[test]
-    fn tmp_bisect() {
-        let (steps_s, recs_s) = tmp_run_ft_records(1);
-        let (steps_2, recs_2) = tmp_run_ft_records(2);
-        eprintln!("steps serial={steps_s} sharded={steps_2}");
-        for (a, b) in recs_s.iter().zip(recs_2.iter()) {
-            if a != b {
-                eprintln!("DIVERGENT:\n  serial:  {a}\n  sharded: {b}");
-            }
-        }
-        assert_eq!(recs_s.len(), recs_2.len());
-        assert!(recs_s == recs_2);
+        let serial = run(&sc, 1);
+        let sharded = run(&sc, 2);
+        assert_eq!(format!("{:?}", serial.fct), format!("{:?}", sharded.fct));
     }
 
     #[test]
     fn fat_tree_smoke() {
-        let sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.2, 30, 6);
-        let serial = run_fat_tree_sharded(&sc, 4, 1);
-        assert_eq!(serial.overall.count, 30);
-        let sharded = run_fat_tree_sharded(&sc, 4, 4);
-        assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
+        let mut sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.2, 30, 6);
+        sc.fabric = Fabric::FatTree { k: 4 };
+        let serial = run(&sc, 1);
+        assert_eq!(serial.fct.overall.count, 30);
+        let sharded = run(&sc, 4);
+        assert_eq!(format!("{:?}", serial.fct), format!("{:?}", sharded.fct));
+    }
+
+    #[test]
+    fn shard_requests_clamp_to_the_fabric() {
+        let mut sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.2, 4, 6);
+        assert!(sc.build(8, NoopSubscriber).plan.is_none(), "star is serial");
+        sc.fabric = Fabric::LeafSpine {
+            spines: 2,
+            leaves: 2,
+            hosts_per_leaf: 2,
+        };
+        assert!(sc.build(1, NoopSubscriber).plan.is_none());
+        let plan = sc.build(8, NoopSubscriber).plan.expect("sharded");
+        assert_eq!(plan.shard_count(), 2, "clamped to the leaf count");
     }
 
     #[test]
     fn chaos_smoke() {
-        let r = run_chaos_leaf_spine(
-            Scheme::EcnSharp(None),
-            0.01,
-            Some(Duration::from_micros(200)),
-            40,
-            7,
-        );
-        assert_eq!(r.completed + r.failed, 40);
-        assert!(r.burst_drops > 0, "1% GE loss must drop something");
-        assert!(
-            r.fct.overall.count as u64 == r.completed,
-            "timing buckets cover exactly the completed flows"
-        );
+        let faults = Faults {
+            mean_loss: 0.01,
+            flap_period: Some(Duration::from_micros(200)),
+        };
+        let sc = FctScenario::chaos(Scheme::EcnSharp(None), faults, 40, 7);
+        let r = run(&sc, 1);
+        assert_eq!(r.fct.overall.count as u64 + r.fct.failed, 40);
+        assert!(r.perf.burst_drops > 0, "1% GE loss must drop something");
+    }
+
+    #[test]
+    fn faults_apply_to_every_fabric() {
+        let faults = Faults {
+            mean_loss: 0.02,
+            flap_period: Some(Duration::from_micros(200)),
+        };
+        for fabric in [Fabric::Star, Fabric::FatTree { k: 4 }] {
+            let mut sc = FctScenario::chaos(Scheme::EcnSharp(None), faults, 30, 3);
+            sc.fabric = fabric;
+            let r = run(&sc, 1);
+            assert_eq!(r.fct.overall.count as u64 + r.fct.failed, 30, "{fabric:?}");
+            assert!(r.perf.burst_drops > 0, "{fabric:?}");
+        }
     }
 
     #[test]
     fn incast_micro_smoke() {
-        let r = run_incast_micro_with(Scheme::EcnSharp(None), 20, 3, IncastTimeline::Compressed);
+        let (r, _) = run_incast_micro(
+            Scheme::EcnSharp(None),
+            20,
+            3,
+            IncastTimeline::Compressed,
+            NoopSubscriber,
+        );
         assert_eq!(r.query_fct.overall.count, 20);
         assert!(r.queue.samples > 500);
+        assert!(r.perf.events_popped > 0);
     }
 
     #[test]
@@ -970,5 +831,6 @@ mod tests {
         let late = r.goodput[14];
         assert!(late[0] > late[1] * 1.4, "{late:?}");
         assert!((late[1] / late[2] - 1.0).abs() < 0.4, "{late:?}");
+        assert!(r.perf.events_popped > 0 && r.end <= SimTime::from_secs(3));
     }
 }

@@ -4,61 +4,31 @@
 //! `Failed` instead of retrying forever.
 
 use ecnsharp_aqm::DropTail;
-use ecnsharp_experiments::{run_chaos_leaf_spine, ChaosResult, Scheme};
+use ecnsharp_experiments::{try_run, Faults, FctScenario, RunOpts, Scheme};
 use ecnsharp_net::topology::dumbbell;
 use ecnsharp_net::{FlowCmd, FlowId, FlowOutcome, PortConfig};
 use ecnsharp_sim::{Duration, Rate, SimTime};
-use ecnsharp_stats::FctSummary;
 use ecnsharp_transport::{TcpConfig, TcpStack};
 
-/// Render every field of a chaos result with bit-exact floats (`{:?}` on
-/// f64 is the shortest round-trip form): two renders match iff the
-/// underlying bits match.
-fn render(r: &ChaosResult) -> String {
-    let s = |x: &Option<FctSummary>| match x {
-        Some(s) => format!("{},{:?},{:?},{:?}", s.count, s.avg, s.p50, s.p99),
-        None => "-".to_string(),
-    };
-    format!(
-        "{},{:?},{:?},{:?}|{}|{}|{}|{},{},{},{},{},{},{},{}",
-        r.fct.overall.count,
-        r.fct.overall.avg,
-        r.fct.overall.p50,
-        r.fct.overall.p99,
-        s(&r.fct.short),
-        s(&r.fct.medium),
-        s(&r.fct.large),
-        r.completed,
-        r.failed,
-        r.timeouts,
-        r.ce_marks,
-        r.fault_drops,
-        r.corrupt_drops,
-        r.burst_drops,
-        r.no_route_drops,
-    )
-}
+mod common;
 
 #[test]
 fn chaos_point_is_replay_identical() {
-    let run = || {
-        run_chaos_leaf_spine(
-            Scheme::EcnSharp(None),
-            0.01,
-            Some(Duration::from_micros(200)),
-            40,
-            42,
-        )
+    let faults = Faults {
+        mean_loss: 0.01,
+        flap_period: Some(Duration::from_micros(200)),
     };
+    let sc = FctScenario::chaos(Scheme::EcnSharp(None), faults, 40, 42);
+    let run = || try_run(&sc, RunOpts::default()).expect("disarmed run");
     let a = run();
     let b = run();
     assert_eq!(
-        render(&a),
-        render(&b),
+        common::ledger_line(&a),
+        common::ledger_line(&b),
         "same seed must replay byte-identically under flaps + burst loss"
     );
-    assert!(a.burst_drops > 0, "the GE process must actually fire");
-    assert_eq!(a.completed + a.failed, 40);
+    assert!(a.perf.burst_drops > 0, "the GE process must actually fire");
+    assert_eq!(a.fct.overall.count as u64 + a.fct.failed, 40);
 }
 
 #[test]

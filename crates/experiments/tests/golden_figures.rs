@@ -20,44 +20,17 @@
 //! concurrently running test in the same process.
 
 use ecnsharp_experiments::{
-    figures, run_chaos_leaf_spine, ChaosResult, Scale, Scheme, DEFAULT_FAULT_SEED,
+    figures, try_run, Faults, FctScenario, RunOpts, Scale, Scheme, DEFAULT_FAULT_SEED,
 };
 use ecnsharp_sim::Duration;
-use ecnsharp_stats::FctSummary;
 use std::path::PathBuf;
+
+mod common;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-}
-
-/// Render every field of a chaos result with bit-exact floats (`{:?}` on
-/// f64 is the shortest round-trip form): two renders match iff the
-/// underlying bits match.
-fn render_chaos(r: &ChaosResult) -> String {
-    let s = |x: &Option<FctSummary>| match x {
-        Some(s) => format!("{},{:?},{:?},{:?}", s.count, s.avg, s.p50, s.p99),
-        None => "-".to_string(),
-    };
-    format!(
-        "{},{:?},{:?},{:?}|{}|{}|{}|{},{},{},{},{},{},{},{}\n",
-        r.fct.overall.count,
-        r.fct.overall.avg,
-        r.fct.overall.p50,
-        r.fct.overall.p99,
-        s(&r.fct.short),
-        s(&r.fct.medium),
-        s(&r.fct.large),
-        r.completed,
-        r.failed,
-        r.timeouts,
-        r.ce_marks,
-        r.fault_drops,
-        r.corrupt_drops,
-        r.burst_drops,
-        r.no_route_drops,
-    )
 }
 
 #[test]
@@ -73,24 +46,26 @@ fn engine_output_matches_prepass_golden() {
     // queues' main consumer), and one adversarial chaos point (flapping
     // link + 1% GE burst loss crossing shard cuts).
     let mut outputs: Vec<(&str, String)> = Vec::new();
-    outputs.push(("fig2_quick.csv", figures::fig2(Scale::Quick).to_csv()));
-    outputs.push(("fig9_quick.csv", figures::fig9(Scale::Quick).to_csv()));
+    outputs.push(("fig2_quick.csv", figures::fig2(Scale::Quick).0.to_csv()));
+    outputs.push(("fig9_quick.csv", figures::fig9(Scale::Quick).0.to_csv()));
     for shards in [2u32, 4] {
         std::env::set_var("ECNSHARP_SHARDS", shards.to_string());
-        let csv = figures::fig9(Scale::Quick).to_csv();
+        let csv = figures::fig9(Scale::Quick).0.to_csv();
         std::env::remove_var("ECNSHARP_SHARDS");
         // Sharding is pinned against the *same* serial fixture: one file,
         // three engine configurations.
         outputs.push(("fig9_quick.csv", csv));
     }
-    let chaos = run_chaos_leaf_spine(
-        Scheme::EcnSharp(None),
-        0.01,
-        Some(Duration::from_micros(200)),
-        40,
-        DEFAULT_FAULT_SEED,
-    );
-    outputs.push(("chaos_point.txt", render_chaos(&chaos)));
+    let faults = Faults {
+        mean_loss: 0.01,
+        flap_period: Some(Duration::from_micros(200)),
+    };
+    let sc = FctScenario::chaos(Scheme::EcnSharp(None), faults, 40, DEFAULT_FAULT_SEED);
+    let chaos = try_run(&sc, RunOpts::default()).expect("disarmed run");
+    outputs.push((
+        "chaos_point.txt",
+        format!("{}\n", common::ledger_line(&chaos)),
+    ));
 
     if std::env::var("ECNSHARP_BLESS_GOLDEN").is_ok() {
         std::fs::create_dir_all(golden_dir()).expect("golden dir");

@@ -14,9 +14,7 @@
 //! diff here long before a sharded engine (ROADMAP item 1) would turn it
 //! into a heisenbug.
 
-use ecnsharp_experiments::{
-    run_testbed_star_with_subscriber, try_parallel_map, FctScenario, Scheme,
-};
+use ecnsharp_experiments::{try_parallel_map, try_run, FctScenario, RunOpts, Scheme};
 use ecnsharp_sim::hash_mix;
 use ecnsharp_telemetry::{HistogramRecorder, MetricsAggregator};
 use ecnsharp_workload::dists;
@@ -113,9 +111,8 @@ fn shuffled_schedules_keep_simulation_sweeps_byte_identical() {
         let out = try_parallel_map(points.clone(), |(scheme, seed)| {
             std::thread::sleep(HostDuration::from_micros(jitter_us(schedule, *seed)));
             let sc = FctScenario::testbed(scheme.clone(), dists::web_search(), 0.5, 30, *seed);
-            let (fct, stats, hist) =
-                run_testbed_star_with_subscriber(&sc, HistogramRecorder::new());
-            (format!("{fct:?}|{stats:?}"), hist)
+            let r = try_run(&sc, RunOpts::serial(HistogramRecorder::new())).expect("disarmed");
+            (format!("{:?}|{:?}", r.fct, r.bottleneck), r.subscriber)
         });
         assert!(out.panics.is_empty(), "{:?}", out.panics);
         let parts: Vec<_> = out

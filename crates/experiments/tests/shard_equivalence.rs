@@ -1,91 +1,129 @@
 //! The sharded conservative-PDES engine is an execution mode, not a
 //! model change: for the same seed, a run partitioned over worker
 //! threads must produce byte-identical results to the serial event loop
-//! — figure CSVs, chaos-sweep ledgers, and scheme-internal counters
-//! alike. CONCURRENCY.md carries the argument; these tests pin it.
+//! — figure CSVs, chaos-sweep ledgers, flow records, per-port stats and
+//! scheme-internal counters alike. CONCURRENCY.md carries the argument;
+//! these tests pin it.
 //!
 //! The figure-level test drives the real `ECNSHARP_SHARDS` knob through
 //! `figures::fig9` (the leaf-spine sweep every load/scheme grid uses).
-//! Everything else goes through the explicit `run_*_sharded` variants so
-//! no other test in this binary depends on mutated process environment.
+//! Everything else passes an explicit shard count in [`RunOpts`] so no
+//! other test in this binary depends on mutated process environment.
 
 use ecnsharp_experiments::{
-    figures, run_chaos_leaf_spine_sharded, run_fat_tree_sharded, run_leaf_spine_sharded,
-    FctScenario, Scale, Scheme, SchemeParams,
+    figures, try_run, Built, Fabric, Faults, FctScenario, RunOpts, Scale, Scheme, SchemeParams,
 };
+use ecnsharp_net::{NodeId, NoopSubscriber};
 use ecnsharp_workload::{dists, RttVariation};
 
-/// Leaf-spine FCT sweep point, serial vs explicit shard counts. `{:?}`
-/// on `FctBreakdown` prints shortest-round-trip floats, so string
-/// equality is bit equality.
+mod common;
+
+/// `sc`'s FCT breakdown on `shards` shards. `{:?}` on `FctBreakdown`
+/// prints shortest-round-trip floats, so string equality is bit equality.
+fn fct(sc: &FctScenario, shards: u32) -> String {
+    let r = try_run(sc, RunOpts::sharded(NoopSubscriber, shards)).expect("disarmed run");
+    format!("{:?}", r.fct)
+}
+
+fn sim_3x(load: f64, n_flows: usize, seed: u64, fabric: Fabric) -> FctScenario {
+    let mut sc = FctScenario::testbed(
+        Scheme::EcnSharp(None),
+        dists::web_search(),
+        load,
+        n_flows,
+        seed,
+    );
+    sc.rtt = RttVariation::sim_3x();
+    sc.fabric = fabric;
+    sc
+}
+
+/// Leaf-spine FCT sweep point, serial vs explicit shard counts.
 #[test]
 fn leaf_spine_fct_is_shard_invariant() {
-    let mut sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.6, 160, 53);
-    sc.rtt = RttVariation::sim_3x();
-    let serial = format!("{:?}", run_leaf_spine_sharded(&sc, 2, 2, 4, 1));
-    assert_eq!(
-        serial,
-        format!("{:?}", run_leaf_spine_sharded(&sc, 2, 2, 4, 2)),
-        "2 shards"
-    );
+    let ls = Fabric::LeafSpine {
+        spines: 2,
+        leaves: 2,
+        hosts_per_leaf: 4,
+    };
+    let sc = sim_3x(0.6, 160, 53, ls);
+    let serial = fct(&sc, 1);
+    assert_eq!(serial, fct(&sc, 2), "2 shards");
     // 4 requested, clamped to the 2-leaf ceiling — the documented
     // sweep-friendly behaviour of the knob.
-    assert_eq!(
-        serial,
-        format!("{:?}", run_leaf_spine_sharded(&sc, 2, 2, 4, 4)),
-        "4 shards (clamped)"
-    );
+    assert_eq!(serial, fct(&sc, 4), "4 shards (clamped)");
 }
 
 /// Fat-tree (k=4, 16 hosts, cross-pod traffic over the core) FCT, serial
 /// vs per-pod cuts.
 #[test]
 fn fat_tree_fct_is_shard_invariant() {
-    let mut sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.5, 120, 7);
-    sc.rtt = RttVariation::sim_3x();
-    let serial = format!("{:?}", run_fat_tree_sharded(&sc, 4, 1));
-    assert_eq!(
-        serial,
-        format!("{:?}", run_fat_tree_sharded(&sc, 4, 2)),
-        "2 shards"
-    );
-    assert_eq!(
-        serial,
-        format!("{:?}", run_fat_tree_sharded(&sc, 4, 4)),
-        "4 shards"
-    );
+    let sc = sim_3x(0.5, 120, 7, Fabric::FatTree { k: 4 });
+    let serial = fct(&sc, 1);
+    assert_eq!(serial, fct(&sc, 2), "2 shards");
+    assert_eq!(serial, fct(&sc, 4), "4 shards");
+}
+
+/// Every flow record and every port's stats of `sc`, built by the
+/// scenario builder and run on `shards` shards, one line each.
+fn records_and_ports(sc: &FctScenario, shards: u32) -> Vec<String> {
+    let Built { mut net, plan, .. } = sc.build(shards, NoopSubscriber);
+    match &plan {
+        Some(p) => net.run_sharded_until_idle(p),
+        None => net.run_until_idle(),
+    };
+    let mut out: Vec<String> = net.records().iter().map(|r| format!("{r:?}")).collect();
+    for node in 0..net.node_count() {
+        for port in 0..net.port_count(NodeId(node)) {
+            let stats = net.port_stats(NodeId(node), port);
+            out.push(format!("port {node}.{port} {stats:?}"));
+        }
+    }
+    out
+}
+
+/// Below the FCT summary: flow by flow and port by port, fat-tree k=4 on
+/// 2 pod shards and leaf-spine 4×4×4 on 4 leaf shards match serial.
+#[test]
+fn flow_records_and_port_stats_are_shard_invariant() {
+    let ls = Fabric::LeafSpine {
+        spines: 4,
+        leaves: 4,
+        hosts_per_leaf: 4,
+    };
+    for (fabric, shards) in [(Fabric::FatTree { k: 4 }, 2), (ls, 4)] {
+        let mut sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.2, 30, 6);
+        sc.fabric = fabric;
+        let serial = records_and_ports(&sc, 1);
+        assert!(serial.len() > 30, "{fabric:?}: records and ports");
+        assert_eq!(serial, records_and_ports(&sc, shards), "{fabric:?}");
+    }
 }
 
 /// Chaos-sweep outputs — fault application (flaps, GE burst loss, route
 /// rebuilds) crosses shard boundaries, so this is the adversarial case
-/// for the epoch/straggler protocol. The full `ChaosResult` ledger
-/// (FCT + every drop/abort counter) must match field for field.
+/// for the epoch/straggler protocol. The FCT breakdown and the fault
+/// ledger (every drop/abort counter) must match field for field; the
+/// queue counters (`events_*`, `timers_*`, `peak_pending`) legitimately
+/// differ between engines and are not compared.
 #[test]
 fn chaos_sweep_is_shard_invariant() {
-    for (loss, flap) in [
+    for (mean_loss, flap_period) in [
         (0.0, None),
         (0.01, Some(ecnsharp_sim::Duration::from_micros(200))),
     ] {
-        let serial = format!(
-            "{:?}",
-            run_chaos_leaf_spine_sharded(Scheme::EcnSharp(None), loss, flap, 60, 0xC0DE, 1)
-        );
+        let faults = Faults {
+            mean_loss,
+            flap_period,
+        };
+        let sc = FctScenario::chaos(Scheme::EcnSharp(None), faults, 60, 0xC0DE);
+        let row = |shards| {
+            let r = try_run(&sc, RunOpts::sharded(NoopSubscriber, shards)).expect("disarmed run");
+            format!("{:?} {}", r.fct, common::ledger_line(&r))
+        };
+        let serial = row(1);
         for shards in [2u32, 4] {
-            assert_eq!(
-                serial,
-                format!(
-                    "{:?}",
-                    run_chaos_leaf_spine_sharded(
-                        Scheme::EcnSharp(None),
-                        loss,
-                        flap,
-                        60,
-                        0xC0DE,
-                        shards
-                    )
-                ),
-                "loss={loss} flap={flap:?} shards={shards}"
-            );
+            assert_eq!(serial, row(shards), "{faults:?} shards={shards}");
         }
     }
 }
@@ -93,8 +131,8 @@ fn chaos_sweep_is_shard_invariant() {
 /// Figure-level pinning through the real env knob: fig9's quick CSV must
 /// be byte-identical under `ECNSHARP_SHARDS` ∈ {unset, 2, 4}. Runs
 /// last-alphabetically irrelevant — the knob is only read by this test's
-/// own figure calls (every other test here uses the explicit variants),
-/// so the mutation cannot leak meaning into concurrent tests.
+/// own figure calls (every other test here passes explicit shard
+/// counts), so the mutation cannot leak meaning into concurrent tests.
 #[test]
 fn sharded_figure_csv_is_byte_identical() {
     let dir = std::env::temp_dir().join("ecnsharp_shard_equivalence");
@@ -102,12 +140,12 @@ fn sharded_figure_csv_is_byte_identical() {
     std::env::set_var("ECNSHARP_RESULTS", &dir);
 
     std::env::remove_var("ECNSHARP_SHARDS");
-    let serial = figures::fig9(Scale::Quick).to_csv();
+    let serial = figures::fig9(Scale::Quick).0.to_csv();
     for shards in ["2", "4"] {
         std::env::set_var("ECNSHARP_SHARDS", shards);
         assert_eq!(
             serial,
-            figures::fig9(Scale::Quick).to_csv(),
+            figures::fig9(Scale::Quick).0.to_csv(),
             "ECNSHARP_SHARDS={shards} changed fig9"
         );
     }

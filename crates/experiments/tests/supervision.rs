@@ -1,8 +1,9 @@
 //! Run supervision must be an observer, never a participant: with every
 //! watchdog and memory guard armed but untriggered, supervised runs are
-//! byte-identical to guard-free runs — figure output and perf-counter
-//! ledger alike, serial and sharded (`ChaosResult`'s `Debug` covers
-//! both: bit-exact FCT floats plus the `[perf]` mark/drop counters).
+//! byte-identical to guard-free runs — figure output and fault ledger
+//! alike, serial and sharded (the FCT breakdown's `Debug` plus
+//! `common::ledger_line`: bit-exact FCT floats plus the `[perf]`
+//! mark/drop counters).
 //! And each guard must actually fire: a synthetic zero-delay event
 //! cycle trips the `ProgressGuard`, a withheld shard window trips the
 //! barrier-stall detector, and a 1-event memory budget trips the
@@ -11,30 +12,52 @@
 
 use ecnsharp_aqm::DropTail;
 use ecnsharp_experiments::runner::{supervised_map, PointStatus, SweepConfig};
-use ecnsharp_experiments::{try_run_chaos_leaf_spine_sharded, Scheme};
+use ecnsharp_experiments::{try_run, Faults, FctRun, FctScenario, RunOpts, Scheme};
 use ecnsharp_net::topology::star;
 use ecnsharp_net::{
-    FlowCmd, FlowId, MemBreach, MemComponent, Network, NodeId, PortConfig, SimError, Supervision,
+    FlowCmd, FlowId, MemBreach, MemComponent, Network, NodeId, NoopSubscriber, PortConfig,
+    SimError, Supervision,
 };
 use ecnsharp_sim::{Duration, Rate, SimTime};
 use ecnsharp_transport::{TcpConfig, TcpStack};
 use std::sync::atomic::{AtomicU32, Ordering};
 
+mod common;
+
+/// A chaos point with `n_flows` flows on `shards` shards under `sup`,
+/// optionally with the livelock drill injected.
+fn chaos(
+    faults: Faults,
+    n_flows: usize,
+    seed: u64,
+    shards: u32,
+    sup: Supervision,
+    livelock: bool,
+) -> Result<FctRun<NoopSubscriber>, SimError> {
+    let sc = FctScenario::chaos(Scheme::EcnSharp(None), faults, n_flows, seed);
+    let mut opts = RunOpts::sharded(NoopSubscriber, shards);
+    opts.supervision = sup;
+    opts.inject_livelock = livelock;
+    try_run(&sc, opts)
+}
+
+/// No injected faults.
+const CALM: Faults = Faults {
+    mean_loss: 0.0,
+    flap_period: None,
+};
+
 /// One chaos point under supervision `sup`, rendered to its bit-exact
-/// `Debug` form (floats print shortest-round-trip, so string equality is
-/// bit equality).
+/// FCT and ledger form (floats print shortest-round-trip, so string
+/// equality is bit equality). Queue counters are left out: they are not
+/// an output of the run.
 fn chaos_row(seed: u64, shards: u32, sup: Supervision) -> Result<String, SimError> {
-    try_run_chaos_leaf_spine_sharded(
-        Scheme::EcnSharp(None),
-        0.01,
-        Some(Duration::from_micros(200)),
-        60,
-        seed,
-        shards,
-        sup,
-        false,
-    )
-    .map(|r| format!("{r:?}"))
+    let faults = Faults {
+        mean_loss: 0.01,
+        flap_period: Some(Duration::from_micros(200)),
+    };
+    chaos(faults, 60, seed, shards, sup, false)
+        .map(|r| format!("{:?} {}", r.fct, common::ledger_line(&r)))
 }
 
 #[test]
@@ -75,17 +98,9 @@ mod properties {
 fn progress_guard_trips_on_zero_delay_event_cycle() {
     let mut sup = Supervision::armed();
     sup.livelock_budget = Some(1_000);
-    let err = try_run_chaos_leaf_spine_sharded(
-        Scheme::EcnSharp(None),
-        0.0,
-        None,
-        20,
-        7,
-        1,
-        sup,
-        true, // schedule the self-rescheduling drill event
-    )
-    .expect_err("the zero-delay cycle must trip the progress guard");
+    // `true` schedules the self-rescheduling drill event.
+    let err = chaos(CALM, 20, 7, 1, sup, true)
+        .expect_err("the zero-delay cycle must trip the progress guard");
     match err {
         SimError::Livelock {
             events_at_instant,
@@ -109,9 +124,8 @@ fn stall_detector_trips_on_withheld_shard_window() {
     let mut sup = Supervision::armed();
     sup.stall_rounds = Some(4);
     sup.inject_stall = true; // every shard skips window processing
-    let err =
-        try_run_chaos_leaf_spine_sharded(Scheme::EcnSharp(None), 0.0, None, 20, 7, 2, sup, false)
-            .expect_err("frozen windows must trip the barrier-stall detector");
+    let err = chaos(CALM, 20, 7, 2, sup, false)
+        .expect_err("frozen windows must trip the barrier-stall detector");
     match &err {
         SimError::BarrierStall { budget, shards, .. } => {
             assert_eq!(*budget, 4);

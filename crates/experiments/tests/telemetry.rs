@@ -4,9 +4,9 @@
 //! "observation is free" contract OBSERVABILITY.md promises.
 
 use ecnsharp_experiments::{
-    run_incast_micro_with, run_incast_micro_with_subscriber, run_testbed_star,
-    run_testbed_star_with_subscriber, FctScenario, IncastTimeline, Scheme,
+    run_incast_micro, try_run, FctScenario, IncastTimeline, RunOpts, Scheme,
 };
+use ecnsharp_net::NoopSubscriber;
 use ecnsharp_sim::Duration;
 use ecnsharp_telemetry::{HistogramRecorder, JsonlWriter, MetricsAggregator, TimelineSampler};
 use ecnsharp_workload::dists;
@@ -20,7 +20,7 @@ fn scenario(seed: u64) -> FctScenario {
 /// event stream, they never feed back into it.
 #[test]
 fn attached_subscribers_do_not_change_figures() {
-    let (fct_detached, stats_detached) = run_testbed_star(&scenario(11));
+    let detached = try_run(&scenario(11), RunOpts::default()).expect("disarmed run");
     let sub = (
         MetricsAggregator::new(),
         (
@@ -31,17 +31,20 @@ fn attached_subscribers_do_not_change_figures() {
             ),
         ),
     );
-    let (fct_attached, stats_attached, sub) = run_testbed_star_with_subscriber(&scenario(11), sub);
+    // `RunOpts::serial` takes any subscriber: `TimelineSampler` and
+    // `JsonlWriter` are order-sensitive and could not run sharded.
+    let attached = try_run(&scenario(11), RunOpts::serial(sub)).expect("disarmed run");
     assert_eq!(
-        format!("{fct_detached:?}"),
-        format!("{fct_attached:?}"),
+        format!("{:?}", detached.fct),
+        format!("{:?}", attached.fct),
         "FCT breakdown must not depend on observation"
     );
     assert_eq!(
-        format!("{stats_detached:?}"),
-        format!("{stats_attached:?}"),
+        format!("{:?}", detached.bottleneck),
+        format!("{:?}", attached.bottleneck),
         "port stats must not depend on observation"
     );
+    let sub = attached.subscriber;
     // With telemetry compiled in, the stack must actually have observed
     // the run (guards against emission sites silently rotting away).
     #[cfg(feature = "telemetry")]
@@ -64,8 +67,14 @@ fn attached_subscribers_do_not_change_figures() {
 /// the exact rows fig10.csv renders — must be byte-identical.
 #[test]
 fn incast_series_identical_attached_and_detached() {
-    let detached = run_incast_micro_with(Scheme::EcnSharp(None), 8, 5, IncastTimeline::Compressed);
-    let (attached, _) = run_incast_micro_with_subscriber(
+    let (detached, _) = run_incast_micro(
+        Scheme::EcnSharp(None),
+        8,
+        5,
+        IncastTimeline::Compressed,
+        NoopSubscriber,
+    );
+    let (attached, _) = run_incast_micro(
         Scheme::EcnSharp(None),
         8,
         5,
@@ -91,7 +100,7 @@ fn incast_series_identical_attached_and_detached() {
 #[test]
 fn identical_runs_produce_identical_telemetry() {
     let run = || {
-        run_incast_micro_with_subscriber(
+        run_incast_micro(
             Scheme::EcnSharp(None),
             8,
             5,
@@ -118,9 +127,9 @@ fn worker_histograms_merge_order_independent() {
     let per_seed: Vec<HistogramRecorder> = [3u64, 4, 5]
         .iter()
         .map(|&seed| {
-            let (_, _, h) =
-                run_testbed_star_with_subscriber(&scenario(seed), HistogramRecorder::new());
-            h
+            try_run(&scenario(seed), RunOpts::serial(HistogramRecorder::new()))
+                .expect("disarmed run")
+                .subscriber
         })
         .collect();
     let mut forward = HistogramRecorder::new();

@@ -8,13 +8,14 @@
 //! any concurrently running test in the same process.
 
 use ecnsharp_experiments::{figures, perf, Scale};
+use ecnsharp_net::PerfCounters;
 
 /// Run fig2's threshold sweep under `backend` and return its rendered CSV
 /// plus the engine counters the run generated.
-fn run_fig2(backend: &str) -> (String, perf::Snapshot) {
+fn run_fig2(backend: &str) -> (String, PerfCounters) {
     std::env::set_var("ECNSHARP_TIMER_BACKEND", backend);
     let t = perf::timed(|| figures::fig2(Scale::Quick));
-    (t.result.to_csv(), t.perf)
+    (t.result.to_csv(), t.perf.counters)
 }
 
 #[test]

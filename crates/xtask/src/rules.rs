@@ -32,8 +32,9 @@ pub enum Rule {
     /// missing docs.
     LintHeaders,
     /// R7: no mutable `static`s and no `static` items with interior
-    /// mutability (`Mutex`/`RwLock`/`Atomic*`/`OnceLock`/…) in sim-facing
-    /// or harness code — hidden cross-shard coupling.
+    /// mutability (`Mutex`/`RwLock`/`Atomic*`/`OnceLock`/…, directly or
+    /// through a struct of the same file holding such a field) in
+    /// sim-facing or harness code — hidden cross-shard coupling.
     SharedState,
     /// R8: no `Rc`/`RefCell`/`Cell` in the public types of the shard
     /// boundary crates (`core`/`sim`/`net`/`aqm`/`sched`/`transport`) —
@@ -194,6 +195,9 @@ pub fn analyze_file(path: &str, source: &str, class: &FileClass) -> FileReport {
         })
         .collect();
 
+    // Structs of this file that hide interior mutability in a field (R7).
+    let cell_structs = interior_mutable_structs(&lines);
+
     // Candidate violations before waiver resolution.
     let mut candidates: Vec<Violation> = Vec::new();
     let mut push = |rule: Rule, idx: usize, message: String| {
@@ -315,7 +319,7 @@ pub fn analyze_file(path: &str, source: &str, class: &FileClass) -> FileReport {
                 // `static mut` — not `impl Trait + 'static` (excluded by
                 // the keyword scan) or `extern` blocks (none here).
                 let decl = static_decl_snippet(&lines, idx, pos);
-                if let Some(problem) = shared_state_problem(&decl) {
+                if let Some(problem) = shared_state_problem(&decl, &cell_structs) {
                     push(
                         Rule::SharedState,
                         idx,
@@ -508,11 +512,29 @@ fn static_decl_snippet(lines: &[crate::scan::ScannedLine], idx: usize, pos: usiz
 }
 
 /// Why a `static` declaration is shared mutable state, if it is.
-fn shared_state_problem(decl: &str) -> Option<&'static str> {
+/// `cell_structs` names the file's structs with interior-mutable fields:
+/// a `static` of such a type hides its atomics or locks one level down.
+fn shared_state_problem(decl: &str, cell_structs: &[String]) -> Option<&'static str> {
     if find_word(decl, "mut").is_some() {
         return Some("`static mut` is shared mutable state");
     }
-    for ty in [
+    if has_word(decl, "lazy_static") || has_interior_mutability(decl) {
+        return Some("`static` with interior mutability is shared mutable state");
+    }
+    // The declared type sits between the item name's `:` and the `=`.
+    let ty = decl
+        .split_once(':')
+        .map_or("", |(_, rest)| rest.split('=').next().unwrap_or(""));
+    if cell_structs.iter().any(|name| has_word(ty, name)) {
+        return Some("`static` of a struct with interior-mutable fields is shared mutable state");
+    }
+    None
+}
+
+/// Does `code` name an interior-mutability type: a lock, a cell, a lazy
+/// or once initializer, or an `Atomic*`?
+fn has_interior_mutability(code: &str) -> bool {
+    let named = [
         "Mutex",
         "RwLock",
         "OnceLock",
@@ -521,23 +543,50 @@ fn shared_state_problem(decl: &str) -> Option<&'static str> {
         "RefCell",
         "Cell",
         "UnsafeCell",
-        "lazy_static",
-    ] {
-        if has_word(decl, ty) {
-            return Some("`static` with interior mutability is shared mutable state");
-        }
+    ];
+    if named.iter().any(|ty| has_word(code, ty)) {
+        return true;
     }
     // Atomic* family by prefix: AtomicU64, AtomicUsize, AtomicBool, …
-    let b = decl.as_bytes();
+    let b = code.as_bytes();
     let mut from = 0;
-    while let Some(p) = decl[from..].find("Atomic") {
+    while let Some(p) = code[from..].find("Atomic") {
         let start = from + p;
         if start == 0 || !(b[start - 1].is_ascii_alphanumeric() || b[start - 1] == b'_') {
-            return Some("`static` atomic is shared mutable state");
+            return true;
         }
         from = start + 1;
     }
-    None
+    false
+}
+
+/// Names of the structs declared in `lines` with at least one
+/// interior-mutable field. A struct's body is its declaration line after
+/// the name plus every following line nested deeper than it.
+fn interior_mutable_structs(lines: &[crate::scan::ScannedLine]) -> Vec<String> {
+    let mut names = Vec::new();
+    for (idx, l) in lines.iter().enumerate() {
+        let Some(pos) = find_keyword(&l.code, "struct") else {
+            continue;
+        };
+        let rest = l.code[pos + "struct".len()..].trim_start();
+        let name: String = rest
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+            .collect();
+        if name.is_empty() {
+            continue;
+        }
+        let mut body = rest[name.len()..].to_string();
+        for next in lines[idx + 1..].iter().take_while(|n| n.depth > l.depth) {
+            body.push(' ');
+            body.push_str(&next.code);
+        }
+        if has_interior_mutability(&body) {
+            names.push(name);
+        }
+    }
+    names
 }
 
 /// R6: check a crate's `lib.rs` for the mandatory inner attributes.
@@ -849,6 +898,36 @@ mod tests {
             assert_eq!(rules_of(&v), vec![Rule::SharedState], "src: {src}");
             let h = check_file("x.rs", src, &harness_class());
             assert_eq!(rules_of(&h), vec![Rule::SharedState], "harness src: {src}");
+        }
+    }
+
+    #[test]
+    fn r7_fires_on_statics_of_structs_hiding_interior_mutability() {
+        let accum = "struct Accum {\n    events: AtomicU64,\n    runs: AtomicU64,\n}\n\n\
+             impl Accum {\n    const fn new() -> Accum { todo!() }\n}\n\n\
+             static ACCUM: Accum = Accum::new();";
+        for class in [sim_class(), harness_class()] {
+            let v = check_file("x.rs", accum, &class);
+            assert_eq!(rules_of(&v), vec![Rule::SharedState], "{v:?}");
+            assert_eq!(v[0].line, 10, "flags the static, not the struct");
+        }
+        let locked = "pub struct Cache(Mutex<Vec<u64>>);\npub static CACHE: Cache = Cache::new();";
+        let v = check_file("x.rs", locked, &harness_class());
+        assert_eq!(rules_of(&v), vec![Rule::SharedState]);
+        let cell = "struct Slot {\n    hits: Cell<u32>,\n}\nstatic SLOTS: [Slot; 2] = [Slot::new(), Slot::new()];";
+        let v = check_file("x.rs", cell, &sim_class());
+        assert_eq!(rules_of(&v), vec![Rule::SharedState]);
+    }
+
+    #[test]
+    fn r7_ignores_statics_of_plain_structs() {
+        for src in [
+            "struct Table {\n    keys: [u64; 4],\n}\nstatic TABLE: Table = Table { keys: [0; 4] };",
+            // A lock-holding struct used only as a local, never as a static.
+            "struct Guarded {\n    inner: Mutex<u64>,\n}\nstatic NAMES: [&str; 1] = [\"Guarded\"];",
+        ] {
+            let v = check_file("x.rs", src, &sim_class());
+            assert!(rules_of(&v).is_empty(), "src: {src} -> {v:?}");
         }
     }
 

@@ -20,7 +20,7 @@ struct Case {
     expect: Rule,
 }
 
-const CASES: [Case; 11] = [
+const CASES: [Case; 12] = [
     Case {
         fixture: "r1_wall_clock.rs",
         pretend_path: "crates/sim/src/seeded.rs",
@@ -54,6 +54,11 @@ const CASES: [Case; 11] = [
     Case {
         fixture: "r7_shared_state.rs",
         pretend_path: "crates/sched/src/seeded.rs",
+        expect: Rule::SharedState,
+    },
+    Case {
+        fixture: "r7_shared_state_struct.rs",
+        pretend_path: "crates/experiments/src/seeded.rs",
         expect: Rule::SharedState,
     },
     Case {

@@ -8,7 +8,8 @@
 //! cargo run --release --example incast_burst
 //! ```
 
-use ecn_sharp::experiments::{run_incast_micro_with, IncastTimeline, Scheme};
+use ecn_sharp::experiments::{run_incast_micro, IncastTimeline, Scheme};
+use ecn_sharp::net::NoopSubscriber;
 
 fn main() {
     println!("Incast microscope: 16->1, background flows + query burst (compressed timeline)\n");
@@ -22,7 +23,13 @@ fn main() {
             Scheme::CoDelDrop,
             Scheme::EcnSharp(None),
         ] {
-            let r = run_incast_micro_with(scheme.clone(), fanout, 5, IncastTimeline::Compressed);
+            let (r, _) = run_incast_micro(
+                scheme.clone(),
+                fanout,
+                5,
+                IncastTimeline::Compressed,
+                NoopSubscriber,
+            );
             println!(
                 "{:16} {:>9} {:>15.1} {:>7} {:>9} {:>14.3} {:>14.3}",
                 scheme.label(),

@@ -6,7 +6,7 @@
 //! cargo run --release --example websearch_loadsweep
 //! ```
 
-use ecn_sharp::experiments::{run_testbed_star, FctScenario, Scheme};
+use ecn_sharp::experiments::{try_run, FctScenario, RunOpts, Scheme};
 use ecn_sharp::workload::dists;
 
 fn main() {
@@ -19,7 +19,8 @@ fn main() {
     for load in [0.3, 0.6] {
         for scheme in Scheme::testbed_set() {
             let sc = FctScenario::testbed(scheme.clone(), dists::web_search(), load, 500, 99);
-            let (fct, stats) = run_testbed_star(&sc);
+            let r = try_run(&sc, RunOpts::default()).expect("disarmed run");
+            let (fct, stats) = (r.fct, r.bottleneck.expect("star bottleneck"));
             println!(
                 "{:>4.0}%  {:16} {:>14.1} {:>13.1} {:>13.1} {:>13.1}   (marks {} drops {})",
                 load * 100.0,

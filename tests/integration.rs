@@ -3,7 +3,7 @@
 
 use ecn_sharp::aqm::DctcpRed;
 use ecn_sharp::core::{EcnSharp, EcnSharpConfig};
-use ecn_sharp::experiments::{run_testbed_star, FctScenario, Scheme};
+use ecn_sharp::experiments::{try_run, FctScenario, RunOpts, Scheme};
 use ecn_sharp::net::topology::{leaf_spine, star};
 use ecn_sharp::net::{FlowCmd, FlowId, FlowOutcome, PortConfig};
 use ecn_sharp::sim::{Duration, Rate, SimTime};
@@ -17,7 +17,8 @@ use ecnsharp_aqm::{Aqm, DropTail};
 fn whole_experiment_is_deterministic() {
     let run = || {
         let sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.5, 80, 1234);
-        let (fct, stats) = run_testbed_star(&sc);
+        let r = try_run(&sc, RunOpts::default()).unwrap();
+        let (fct, stats) = (r.fct, r.bottleneck.unwrap());
         (
             (fct.overall.avg * 1e18) as u64,
             (fct.overall.p99 * 1e18) as u64,
@@ -34,7 +35,7 @@ fn whole_experiment_is_deterministic() {
 fn different_seeds_differ() {
     let run = |seed| {
         let sc = FctScenario::testbed(Scheme::DctcpRedTail, dists::web_search(), 0.5, 60, seed);
-        (run_testbed_star(&sc).0.overall.avg * 1e15) as u64
+        (try_run(&sc, RunOpts::default()).unwrap().fct.overall.avg * 1e15) as u64
     };
     assert_ne!(run(1), run(2));
 }
@@ -133,7 +134,7 @@ fn ecnsharp_drains_standing_queue_without_throughput_loss() {
 fn tofino_pipeline_matches_reference_in_network() {
     let run = |scheme: Scheme| {
         let sc = FctScenario::testbed(scheme, dists::web_search(), 0.5, 120, 77);
-        run_testbed_star(&sc).0
+        try_run(&sc, RunOpts::default()).unwrap().fct
     };
     let sw = run(Scheme::EcnSharp(None));
     let hw = run(Scheme::EcnSharpTofino);
@@ -153,7 +154,7 @@ fn tofino_pipeline_matches_reference_in_network() {
 fn qlen_flavour_equivalent_on_fifo() {
     let run = |scheme: Scheme| {
         let sc = FctScenario::testbed(scheme, dists::web_search(), 0.6, 120, 78);
-        run_testbed_star(&sc).0
+        try_run(&sc, RunOpts::default()).unwrap().fct
     };
     let soj = run(Scheme::EcnSharp(None));
     let qlen = run(Scheme::EcnSharpQlen);
