@@ -53,8 +53,8 @@ fn bench_timer_wheel(c: &mut Criterion) {
                 let mut tokens = [None; FLOWS];
                 for (i, after) in deadlines.into_iter().enumerate() {
                     let slot = i % FLOWS;
-                    tokens[slot] =
-                        Some(q.rearm_timer(tokens[slot], SimTime::from_nanos(after), slot));
+                    let at = SimTime::from_nanos(after);
+                    tokens[slot] = Some(q.arm_timer(tokens[slot], at, i as u64, slot));
                 }
                 let mut sum = 0usize;
                 while let Some((_, e)) = q.pop() {

@@ -2,6 +2,7 @@
 //! test (which includes this file by path).
 
 use ecnsharp_experiments::FctRun;
+use ecnsharp_net::PerfCounters;
 use ecnsharp_stats::FctSummary;
 
 /// A run's FCT and fault ledger on one line with bit-exact floats (`{:?}`
@@ -34,4 +35,22 @@ pub fn ledger_line<S>(r: &FctRun<S>) -> String {
         p.burst_drops,
         p.no_route_drops,
     )
+}
+
+/// Timer conservation oracle over the counters of idle runs: every armed
+/// timer is accounted for exactly once (fired, cancelled, or displaced by
+/// a re-arm), and every popped event was either pushed or a fired timer.
+/// Both are linear, so they hold for counters summed over many runs.
+#[allow(dead_code)] // not every suite that includes this module uses it
+pub fn assert_timer_conservation(what: &str, p: &PerfCounters) {
+    assert_eq!(
+        p.timers_armed,
+        p.timers_fired + p.timers_cancelled + p.timers_stale_suppressed,
+        "{what}: armed timers not conserved ({p:?})"
+    );
+    assert_eq!(
+        p.events_popped,
+        p.events_pushed + p.timers_fired,
+        "{what}: popped events are neither pushed events nor fired timers ({p:?})"
+    );
 }

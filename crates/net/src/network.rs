@@ -70,8 +70,8 @@ pub struct PerfCounters {
     pub timers_cancelled: u64,
     /// Timers that reached their deadline and were delivered.
     pub timers_fired: u64,
-    /// Live timers displaced by a re-arm — stale events the legacy
-    /// epoch-filtering path would have pushed through the queue.
+    /// Live timers displaced by a re-arm, removed without reaching the
+    /// pop path (see `QueuePerf::timers_stale_suppressed`).
     pub timers_stale_suppressed: u64,
     /// Events scheduled beyond both calendar horizons, falling back to
     /// the event queue's `BinaryHeap` (see `QueuePerf::heap_spills`).
@@ -904,11 +904,9 @@ impl<S: Subscriber> Network<S> {
             }
             Event::Timer { node, key } => {
                 self.cur_node = node.0;
-                // A wheel-armed timer that fires is spent: drop its token
-                // so a later cancel/re-arm for the key starts fresh, and
-                // hand it back so the wheel can free the drained cell's
-                // marker. (One-shot `SetTimer` events share the variant
-                // and have no token; the remove is then a no-op.)
+                // A timer that fires is spent: drop its token so a later
+                // cancel/re-arm for the key starts fresh, and hand it back
+                // so the wheel can free the drained cell's marker.
                 if let Some((tok, _, _)) = self.timer_tokens.remove(&(node, key)) {
                     self.events.timer_fired(tok);
                 }
@@ -1167,33 +1165,20 @@ impl<S: Subscriber> Network<S> {
                         self.push_event(now + delay, Event::NicSend { node, pkt });
                     }
                 }
-                Action::SetTimer(at, key) => {
-                    self.push_event(at.max(now), Event::Timer { node, key });
-                }
                 Action::ArmTimer(at, key) => {
                     // Entry API: one tree descent per arm instead of a
                     // get + insert pair (this is the per-ACK hot path).
                     use std::collections::hash_map::Entry;
                     let at = at.max(now);
                     let tag = self.next_tag();
+                    let ev = Event::Timer { node, key };
                     match self.timer_tokens.entry((node, key)) {
                         Entry::Occupied(mut o) => {
-                            let prev = Some(o.get().0);
-                            let tok = self.events.rearm_timer_tagged(
-                                prev,
-                                at,
-                                tag,
-                                Event::Timer { node, key },
-                            );
+                            let tok = self.events.arm_timer(Some(o.get().0), at, tag, ev);
                             *o.get_mut() = (tok, at, tag);
                         }
                         Entry::Vacant(v) => {
-                            let tok = self.events.rearm_timer_tagged(
-                                None,
-                                at,
-                                tag,
-                                Event::Timer { node, key },
-                            );
+                            let tok = self.events.arm_timer(None, at, tag, ev);
                             v.insert((tok, at, tag));
                         }
                     }

@@ -401,7 +401,7 @@ fn run_windows<S: ShardSubscriber>(
                 let (mailboxes, slots, barrier) = (&mailboxes, &slots, &barrier);
                 scope.spawn(move || {
                     let next = |sh: &mut Network<S>| {
-                        sh.events.peek_time().map_or(u64::MAX, |t| t.as_nanos())
+                        sh.events.peek_key().map_or(u64::MAX, |(t, _)| t.as_nanos())
                     };
                     slots[i].store(next(shard), Ordering::Release);
                     barrier.wait();
@@ -463,8 +463,9 @@ fn run_windows<S: ShardSubscriber>(
             let (mailboxes, slots, barrier) = (&mailboxes, &slots, &barrier);
             let (failed, first_err, stall_diags) = (&failed, &first_err, &stall_diags);
             scope.spawn(move || {
-                let next =
-                    |sh: &mut Network<S>| sh.events.peek_time().map_or(u64::MAX, |t| t.as_nanos());
+                let next = |sh: &mut Network<S>| {
+                    sh.events.peek_key().map_or(u64::MAX, |(t, _)| t.as_nanos())
+                };
                 let mut guard = sup.livelock_budget.map(ProgressGuard::new);
                 // Stall detector state: same inputs on every worker, so
                 // the counters advance in lockstep across threads.

@@ -116,15 +116,16 @@ pub struct QueuePerf {
     pub popped: u64,
     /// Highest number of simultaneously pending events observed.
     pub peak_pending: u64,
-    /// Timer arms, including re-arms (see [`EventQueue::rearm_timer`]).
+    /// Timer arms, including re-arms (see [`EventQueue::arm_timer`]).
     pub timers_armed: u64,
     /// Live timers explicitly cancelled before firing.
     pub timers_cancelled: u64,
     /// Timers that reached their deadline and were delivered as events.
     pub timers_fired: u64,
-    /// Live timers displaced by a re-arm — each one a stale event that an
-    /// epoch-filtering design would have pushed through (and popped from)
-    /// the queue.
+    /// Live timers displaced by a re-arm: removed without ever reaching
+    /// the pop path. Once the queue is idle, every arm is accounted for
+    /// exactly once: `timers_armed == timers_fired + timers_cancelled +
+    /// timers_stale_suppressed`.
     pub timers_stale_suppressed: u64,
     /// Events scheduled beyond *both* calendar horizons (inner ≈ 1 ms,
     /// outer ≈ 67 ms) that fell back to the `BinaryHeap`. The second-wheel
@@ -222,9 +223,10 @@ pub struct EventQueue<E> {
     /// Far-future fallback (beyond both calendar horizons at scheduling
     /// time); each push here is counted as a [`QueuePerf::heap_spills`].
     heap: BinaryHeap<Entry<E>>,
-    /// Cancellable timers (see [`EventQueue::schedule_timer`]); shares the
-    /// global sequence counter so fired timers replay in exactly the
-    /// `(time, seq)` order a plain `schedule` would have given them.
+    /// Cancellable timers (see [`EventQueue::arm_timer`]); fired timers
+    /// replay in exactly the `(time, key)` order a plain
+    /// [`schedule_tagged`](EventQueue::schedule_tagged) would have given
+    /// them.
     wheel: TimerWheel<E>,
     /// Scratch buffers reused by the two-run refill merge.
     scratch: Vec<(SimTime, u64, E)>,
@@ -440,42 +442,40 @@ impl<E> EventQueue<E> {
         self.lanes_len += 1;
     }
 
-    /// Arm a cancellable timer firing `event` at `at`, returning a handle
-    /// for [`cancel_timer`]/[`rearm_timer`].
+    /// Arm a cancellable timer firing `event` at `at` with a
+    /// **caller-supplied** tie-break key, returning a handle for
+    /// [`cancel_timer`] and later re-arms. When `tok` names a still-live
+    /// timer, that timer is removed first without ever reaching the pop
+    /// path (the per-ACK RTO pattern) and counted as
+    /// [`QueuePerf::timers_stale_suppressed`]; `None` arms afresh.
     ///
-    /// Timers are ordinary events once they fire: they draw from the same
-    /// sequence counter at arm time, so replay order is byte-identical to
-    /// a design that `schedule`s the timer and lazily discards stale pops
-    /// — except the stale pops never happen.
+    /// Timers are ordinary events once they fire: they pop in `(time, key)`
+    /// order with the same key discipline as [`schedule_tagged`], so replay
+    /// order is byte-identical to a design that schedules every deadline
+    /// and lazily discards stale pops — except the stale pops never happen.
     ///
     /// [`cancel_timer`]: EventQueue::cancel_timer
-    /// [`rearm_timer`]: EventQueue::rearm_timer
-    ///
-    /// # Panics
-    /// Debug-panics when arming into the past; the engine never rewinds.
-    pub fn schedule_timer(&mut self, at: SimTime, event: E) -> TimerToken {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.schedule_timer_tagged(at, seq, event)
-    }
-
-    /// Arm a cancellable timer with a **caller-supplied** tie-break key —
-    /// the timer counterpart of [`schedule_tagged`], with the same key
-    /// discipline and the same cancel/re-arm semantics as
-    /// [`schedule_timer`].
-    ///
     /// [`schedule_tagged`]: EventQueue::schedule_tagged
-    /// [`schedule_timer`]: EventQueue::schedule_timer
     ///
     /// # Panics
     /// Debug-panics when arming into the past; the engine never rewinds.
-    pub fn schedule_timer_tagged(&mut self, at: SimTime, key: u64, event: E) -> TimerToken {
+    pub fn arm_timer(
+        &mut self,
+        tok: Option<TimerToken>,
+        at: SimTime,
+        key: u64,
+        event: E,
+    ) -> TimerToken {
+        if let Some(t) = tok {
+            if self.take_live(t) {
+                self.perf.timers_stale_suppressed += 1;
+            }
+        }
         crate::invariant!(
             at >= self.now,
             "arming a timer in the past: {at} < {}",
             self.now
         );
-        let seq = key;
         let b = bucket(at);
         let tok = if b <= self.cursor {
             // Expiry inside the bucket being drained (sub-lane timers,
@@ -483,15 +483,15 @@ impl<E> EventQueue<E> {
             // the drain overlay; the wheel only keeps a cancel marker.
             self.inbox.push(Entry {
                 time: at,
-                seq,
+                seq: key,
                 event,
             });
             // Counted as fired on delivery to the pop path (mirroring the
             // refill drain); a cancel that catches it first decrements.
             self.perf.timers_fired += 1;
-            self.wheel.arm_external(at, seq)
+            self.wheel.arm_external(at, key)
         } else {
-            self.wheel.arm(at, seq, event)
+            self.wheel.arm(at, key, event)
         };
         self.len += 1;
         self.perf.timers_armed += 1;
@@ -522,37 +522,6 @@ impl<E> EventQueue<E> {
     /// owner calls this to return the cell. No-op on stale tokens.
     pub fn timer_fired(&mut self, tok: TimerToken) {
         self.wheel.release_external(tok);
-    }
-
-    /// Cancel-and-re-arm in one step: the timer behind `tok` (if any is
-    /// still live) is removed without ever reaching the pop path, and a
-    /// fresh timer is armed at `at`. This is the per-ACK RTO pattern.
-    pub fn rearm_timer(&mut self, tok: Option<TimerToken>, at: SimTime, event: E) -> TimerToken {
-        if let Some(t) = tok {
-            if self.take_live(t) {
-                self.perf.timers_stale_suppressed += 1;
-            }
-        }
-        self.schedule_timer(at, event)
-    }
-
-    /// Cancel-and-re-arm with a caller-supplied tie-break key — the tagged
-    /// counterpart of [`rearm_timer`].
-    ///
-    /// [`rearm_timer`]: EventQueue::rearm_timer
-    pub fn rearm_timer_tagged(
-        &mut self,
-        tok: Option<TimerToken>,
-        at: SimTime,
-        key: u64,
-        event: E,
-    ) -> TimerToken {
-        if let Some(t) = tok {
-            if self.take_live(t) {
-                self.perf.timers_stale_suppressed += 1;
-            }
-        }
-        self.schedule_timer_tagged(at, key, event)
     }
 
     /// Remove a live timer (wheel-resident or already in the drain batch)
@@ -841,40 +810,17 @@ impl<E> EventQueue<E> {
         Some((time, seq, event))
     }
 
-    /// Timestamp of the next event without popping it.
-    ///
-    /// Takes `&mut self` because peeking past an exhausted batch refills
-    /// from the earliest pending bucket — the same work the next `pop`
-    /// would do, just done early (the observable pop order is unchanged).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.current.is_empty() && self.inbox.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            self.refill();
-        }
-        match (self.current.last(), self.inbox.peek()) {
-            (Some(c), Some(i)) => Some(if (i.time, i.seq) < (c.0, c.1) {
-                i.time
-            } else {
-                c.0
-            }),
-            (Some(c), None) => Some(c.0),
-            (None, Some(i)) => Some(i.time),
-            (None, None) => None,
-        }
-    }
-
     /// `(time, key)` of the next event without popping it — the ordering
     /// key the next [`pop`] will honour. The serial engine uses this to
     /// interleave out-of-queue work (fault application) at its exact
     /// `(time, tag)` position; the sharded engine uses it to publish each
     /// shard's next-event time at window barriers.
     ///
-    /// Takes `&mut self` for the same refill reason as [`peek_time`].
+    /// Takes `&mut self` because peeking past an exhausted batch refills
+    /// from the earliest pending bucket — the same work the next `pop`
+    /// would do, just done early (the observable pop order is unchanged).
     ///
     /// [`pop`]: EventQueue::pop
-    /// [`peek_time`]: EventQueue::peek_time
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         if self.current.is_empty() && self.inbox.is_empty() {
             if self.len == 0 {
@@ -1111,15 +1057,15 @@ mod tests {
     #[should_panic(expected = "armed timer")]
     fn drain_entries_rejects_armed_timers() {
         let mut q = EventQueue::new();
-        q.schedule_timer(SimTime::from_micros(10), ());
+        q.arm_timer(None, SimTime::from_micros(10), 0, ());
         let _ = q.drain_entries();
     }
 
     #[test]
-    fn tagged_timer_rearm_replays_like_schedule_timer() {
+    fn timer_rearm_replays_in_key_order() {
         let mut q = EventQueue::new();
-        let tok = q.schedule_timer_tagged(SimTime::from_micros(5), 11, "old");
-        let _tok2 = q.rearm_timer_tagged(Some(tok), SimTime::from_micros(7), 12, "new");
+        let tok = q.arm_timer(None, SimTime::from_micros(5), 11, "old");
+        let _tok2 = q.arm_timer(Some(tok), SimTime::from_micros(7), 12, "new");
         q.schedule_tagged(SimTime::from_micros(6), 1, "mid");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["mid", "new"]);
@@ -1139,7 +1085,7 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert!(q.pop().is_none());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]
@@ -1156,10 +1102,10 @@ mod tests {
     fn peek_matches_pop() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(4), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(4)));
+        assert_eq!(q.peek_key(), Some((SimTime::from_nanos(4), 0)));
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_nanos(4));
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]
@@ -1363,10 +1309,10 @@ mod tests {
     #[test]
     fn timers_interleave_with_events_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(10), "event-10us");
-        q.schedule_timer(SimTime::from_micros(5), "timer-5us");
-        q.schedule(SimTime::from_micros(1), "event-1us");
-        q.schedule_timer(SimTime::from_millis(20), "timer-20ms");
+        q.schedule_tagged(SimTime::from_micros(10), 0, "event-10us");
+        q.arm_timer(None, SimTime::from_micros(5), 1, "timer-5us");
+        q.schedule_tagged(SimTime::from_micros(1), 2, "event-1us");
+        q.arm_timer(None, SimTime::from_millis(20), 3, "timer-20ms");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(
             order,
@@ -1382,7 +1328,7 @@ mod tests {
     #[test]
     fn cancelled_timer_never_pops() {
         let mut q: EventQueue<&str> = EventQueue::new();
-        let tok = q.schedule_timer(SimTime::from_millis(10), "rto");
+        let tok = q.arm_timer(None, SimTime::from_millis(10), 0, "rto");
         assert_eq!(q.len(), 1);
         assert!(q.cancel_timer(tok));
         assert!(q.is_empty());
@@ -1400,7 +1346,7 @@ mod tests {
         // The per-ACK RTO pattern: re-arm 5 times, only the last fires.
         let mut tok = None;
         for k in 0..5u64 {
-            tok = Some(q.rearm_timer(tok, SimTime::from_millis(10 + k), k as u32));
+            tok = Some(q.arm_timer(tok, SimTime::from_millis(10 + k), k, k as u32));
         }
         assert_eq!(q.len(), 1);
         let fired: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
@@ -1415,10 +1361,10 @@ mod tests {
     #[test]
     fn timer_into_draining_bucket_is_cancellable() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(100), "a");
-        q.schedule(SimTime::from_nanos(900), "b");
+        q.schedule_tagged(SimTime::from_nanos(100), 0, "a");
+        q.schedule_tagged(SimTime::from_nanos(900), 1, "b");
         assert_eq!(q.pop().unwrap().1, "a"); // bucket 0 is now draining
-        let tok = q.schedule_timer(SimTime::from_nanos(500), "deadline");
+        let tok = q.arm_timer(None, SimTime::from_nanos(500), 2, "deadline");
         assert!(q.cancel_timer(tok));
         assert!(!q.cancel_timer(tok));
         let rest: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
@@ -1428,10 +1374,10 @@ mod tests {
     #[test]
     fn timer_into_draining_bucket_fires_in_order() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(100), "a");
-        q.schedule(SimTime::from_nanos(900), "c");
+        q.schedule_tagged(SimTime::from_nanos(100), 0, "a");
+        q.schedule_tagged(SimTime::from_nanos(900), 1, "c");
         assert_eq!(q.pop().unwrap().1, "a");
-        let tok = q.schedule_timer(SimTime::from_nanos(500), "t");
+        let tok = q.arm_timer(None, SimTime::from_nanos(500), 2, "t");
         let rest: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(rest, vec!["t", "c"]);
         // Cancelling after the fire is stale, not a panic or a removal.
@@ -1441,10 +1387,10 @@ mod tests {
     #[test]
     fn timer_keeps_queue_alive_for_run_until_idle_loops() {
         let mut q: EventQueue<&str> = EventQueue::new();
-        q.schedule_timer(SimTime::from_secs(2), "rto");
+        q.arm_timer(None, SimTime::from_secs(2), 0, "rto");
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        assert_eq!(q.peek_key(), Some((SimTime::from_secs(2), 0)));
         assert_eq!(q.pop().map(|(_, e)| e), Some("rto"));
     }
 
@@ -1565,8 +1511,8 @@ mod tests {
         }
 
         /// Events, timer arms, cancels and re-arms interleaved: surviving
-        /// entries pop in exactly the `(time, seq)` order of a naive
-        /// sorted-list oracle that mirrors the sequence counter.
+        /// entries pop in exactly the `(time, key)` order of a naive
+        /// sorted-list oracle that mirrors the keys handed out.
         #[test]
         fn prop_timers_and_events_match_oracle(
             ops in proptest::collection::vec((0u8..5, 0u64..3_000_000_000u64, 0usize..8), 1..200),
@@ -1581,12 +1527,12 @@ mod tests {
                 let at = raw_ns.max(q.now().as_nanos());
                 match op {
                     0 | 1 => {
-                        q.schedule(SimTime::from_nanos(at), seq);
+                        q.schedule_tagged(SimTime::from_nanos(at), seq, seq);
                         oracle.push((at, seq));
                         seq += 1;
                     }
                     2 => {
-                        let tok = q.schedule_timer(SimTime::from_nanos(at), seq);
+                        let tok = q.arm_timer(None, SimTime::from_nanos(at), seq, seq);
                         toks[id] = Some((tok, at, seq));
                         oracle.push((at, seq));
                         seq += 1;
@@ -1601,7 +1547,8 @@ mod tests {
                     _ => {
                         let prev = toks[id].take();
                         let before = q.perf().timers_stale_suppressed;
-                        let tok = q.rearm_timer(prev.map(|p| p.0), SimTime::from_nanos(at), seq);
+                        let tok =
+                            q.arm_timer(prev.map(|p| p.0), SimTime::from_nanos(at), seq, seq);
                         if q.perf().timers_stale_suppressed > before {
                             // The old timer was still live and got
                             // suppressed; mirror its removal.

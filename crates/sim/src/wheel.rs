@@ -520,9 +520,9 @@ impl<E> TimerWheel<E> {
     }
 
     /// Free the External marker behind `tok` after its drained event
-    /// popped and fired. No-op on stale tokens and on wheel-resident
-    /// cells (a one-shot `SetTimer` sharing an armed timer's key pops
-    /// without consuming the armed cell).
+    /// popped and fired. No-op on stale tokens. A timer's event reaches
+    /// the pop path only through a drain or an in-batch arm, both of which
+    /// leave an External marker, so the location check is defensive.
     pub fn release_external(&mut self, tok: TimerToken) {
         let i = tok.idx as usize;
         if i < self.slab.len()
